@@ -8,12 +8,9 @@ and come with an exhaustive reduction-based checker.
 
 from .coeffring import Domain, DomainKind, QQ, ZZ, ext_gcd, lcm_coeff, residue_domain, squarefree_factors
 from .engine import (
-    CriticalPair,
     GBResult,
     Stats,
     buchberger,
-    chain_criterion_g,
-    chain_criterion_s,
     coeff_criterion,
     completeness_flag,
     gb_equivalent,
@@ -43,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "Bimonomial",
-    "CriticalPair",
     "DEG_LEFT_LEX",
     "DEG_RIGHT_LEX",
     "Domain",
@@ -59,8 +55,6 @@ __all__ = [
     "WEIGHTED_DEG_LEFT_LEX",
     "ZZ",
     "buchberger",
-    "chain_criterion_g",
-    "chain_criterion_s",
     "coeff_criterion",
     "completeness_flag",
     "divides_word",

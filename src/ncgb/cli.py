@@ -173,7 +173,11 @@ class _Parser:
         elif dom_tok.value == "Q":
             domain = QQ
         elif dom_tok.value == "Zmod":
-            domain = residue_domain(self.expect_nat("modulus"))
+            mod_tok = self.peek()
+            modulus = self.expect_nat("modulus")
+            if modulus < 2:
+                self.fail("modulus must be at least 2", mod_tok)
+            domain = residue_domain(modulus)
         else:
             self.fail("domain must be Z, Q or Zmod", dom_tok)
         self.expect_punct("<")
@@ -228,6 +232,19 @@ class _Parser:
         return ring, bound
 
     # -- polynomial expressions ----------------------------------------------
+
+    def parse_polys(self, ring: FreeAlgebra) -> list[Polynomial]:
+        """Comma-separated polynomial expressions.  Nesting deeper than the
+        interpreter's recursion limit is reported at the list's start."""
+        start = self.peek()
+        try:
+            out = [self.parse_polyexpr(ring)]
+            while self.peek().value == ",":
+                self.next()
+                out.append(self.parse_polyexpr(ring))
+        except RecursionError:
+            raise JobError("expression nested too deeply", start.line, start.col) from None
+        return out
 
     def parse_polyexpr(self, ring: FreeAlgebra) -> Polynomial:
         acc = self.parse_signed_term(ring)
@@ -306,10 +323,7 @@ def parse_job(text: str) -> Job:
     while p.peek().kind != "eof":
         stmt = p.expect_ident("'ideal' or 'option'")
         if stmt.value == "ideal":
-            gens.append(p.parse_polyexpr(ring))
-            while p.peek().value == ",":
-                p.next()
-                gens.append(p.parse_polyexpr(ring))
+            gens.extend(p.parse_polys(ring))
         elif stmt.value == "option":
             opt = p.expect_ident("option name")
             if opt.value not in _OPTION_NAMES:
@@ -334,10 +348,7 @@ def parse_poly_list(text: str, ring: FreeAlgebra) -> list[Polynomial]:
     """Comma-separated polynomial expressions (used by ``--equiv`` files);
     a trailing semicolon is allowed."""
     p = _Parser(_tokenize(text))
-    out = [p.parse_polyexpr(ring)]
-    while p.peek().value == ",":
-        p.next()
-        out.append(p.parse_polyexpr(ring))
+    out = p.parse_polys(ring)
     if p.peek().value == ";":
         p.next()
     if p.peek().kind != "eof":

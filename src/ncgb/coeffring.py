@@ -18,9 +18,9 @@ representative; rationals are reduced with a positive denominator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 Coefficient = Union[int, Fraction]
 
@@ -77,14 +77,43 @@ def lcm_coeff(a: int, b: int) -> int:
     return abs(a // math.gcd(a, b) * b)
 
 
-def _nearest_quotient(cf: int, cg: int) -> tuple[int, int]:
-    """Round ``cf/cg`` to the nearest integer, ties towards remainder >= 0."""
-    q = cf // cg
-    b1 = cf - q * cg
-    b2 = b1 - cg
-    if abs(b2) < abs(b1) or (abs(b2) == abs(b1) and b2 >= 0):
-        return q + 1, b2
-    return q, b1
+# ---------------------------------------------------------------------------
+# division steps, one per domain
+# ---------------------------------------------------------------------------
+#
+# A step divides a nonzero coefficient ``c`` by a divisor in the form that
+# :meth:`Domain.divisor` prepares.  It returns ``(a, b)`` with
+# ``c == a*divisor + b`` and ``a != 0``, or ``None`` when no useful step
+# exists.  Lm-reduction calls its domain's step once per reducer hit, so
+# the steps stay free of further calls.
+
+def _integer_step(c: int, d: int) -> tuple[int, int] | None:
+    """Nearest quotient, ties towards a remainder >= 0.  The step is taken
+    only when it shrinks ``|c|`` or moves a borderline negative remainder
+    to its positive representative."""
+    a, b = divmod(c, d)
+    b2 = b - d
+    ab = b if b >= 0 else -b
+    ab2 = b2 if b2 >= 0 else -b2
+    if ab2 < ab or (ab2 == ab and b2 >= 0):
+        a, b, ab = a + 1, b2, ab2
+    if a and (ab < (c if c >= 0 else -c) or (b == -c and b > 0)):
+        return a, b
+    return None
+
+
+def _rational_step(c: Fraction, inverse: Fraction) -> tuple[Fraction, int]:
+    """Exact division; ``inverse`` is ``1/divisor``."""
+    return c * inverse, 0
+
+
+def _residue_step(c: int, div: tuple[int, int, int]) -> tuple[int, int] | None:
+    """Exact division, possible when ``g = gcd(divisor, m)`` divides ``c``."""
+    g, mp, inv = div
+    if c % g:
+        return None
+    a = (c // g) * inv % mp
+    return (a, 0) if a else None
 
 
 # ---------------------------------------------------------------------------
@@ -105,27 +134,29 @@ class Domain:
 
     ``modulus`` is ``None`` except for residue rings.  All arithmetic
     returns canonical representatives (see module docstring).
+    ``is_field`` and the division ``step`` are fixed at construction.
     """
 
     kind: str
     modulus: int | None = None
+    is_field: bool = field(init=False, compare=False)
+    step: Callable = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == DomainKind.RESIDUE:
             if self.modulus is None or self.modulus < 2:
                 raise ValueError("residue modulus must be >= 2")
+            is_field, step = _is_prime(self.modulus), _residue_step
         elif self.modulus is not None:
             raise ValueError("modulus only makes sense for residue domains")
-
-    # -- classification ---------------------------------------------------
-
-    @property
-    def is_field(self) -> bool:
-        if self.kind == DomainKind.RATIONALS:
-            return True
-        if self.kind == DomainKind.RESIDUE:
-            return _is_prime(self.modulus)  # type: ignore[arg-type]
-        return False
+        elif self.kind == DomainKind.INTEGERS:
+            is_field, step = False, _integer_step
+        elif self.kind == DomainKind.RATIONALS:
+            is_field, step = True, _rational_step
+        else:
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        object.__setattr__(self, "is_field", is_field)
+        object.__setattr__(self, "step", step)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind == DomainKind.RESIDUE:
@@ -174,15 +205,24 @@ class Domain:
         g = math.gcd(int(a), self.modulus)  # type: ignore[arg-type]
         return int(b) % g == 0
 
-    def exact_div(self, b: Coefficient, a: Coefficient) -> Coefficient:
-        """Some ``q`` with ``q*a == b``; caller guarantees divisibility."""
+    def divisor(self, c: Coefficient):
+        """Nonzero ``c`` in the form :attr:`step` divides by: ``c`` itself
+        over Z, ``1/c`` over Q, and over Z/m the triple ``(g, m/g, u)``
+        with ``g = gcd(c, m)`` and ``u`` the inverse of ``c/g`` mod ``m/g``."""
         if self.kind == DomainKind.INTEGERS:
-            return b // a
+            return c
         if self.kind == DomainKind.RATIONALS:
-            return Fraction(b) / a
+            return Fraction(1) / c
         m = self.modulus
-        g = math.gcd(int(a), m)  # type: ignore[arg-type]
-        return (int(b) // g) * pow(int(a) // g, -1, m // g) % (m // g)
+        g = math.gcd(c, m)  # type: ignore[arg-type]
+        return g, m // g, pow(c // g, -1, m // g)
+
+    def exact_div(self, b: Coefficient, a: Coefficient) -> Coefficient:
+        """Some ``q`` with ``q*a == b``; caller guarantees divisibility.
+        It is the quotient of the division step, which is exact then."""
+        if b == 0:
+            return b
+        return self.step(b, self.divisor(a))[0]
 
     def reduce_quotient(
         self, cf: Coefficient, cg: Coefficient
@@ -202,19 +242,7 @@ class Domain:
             raise ZeroDivisionError("reduction against a zero coefficient")
         if cf == 0:
             return None
-        if self.kind == DomainKind.RATIONALS:
-            return Fraction(cf) / cg, Fraction(0)
-        if self.kind == DomainKind.RESIDUE:
-            m = self.modulus
-            g = math.gcd(int(cg), m)  # type: ignore[arg-type]
-            if int(cf) % g:
-                return None
-            a = (int(cf) // g) * pow(int(cg) // g, -1, m // g) % (m // g)
-            return a, 0
-        a, b = _nearest_quotient(cf, cg)
-        if a != 0 and (abs(b) < abs(cf) or (b == -cf and b > 0)):
-            return a, b
-        return None
+        return self.step(cf, self.divisor(cg))
 
     # -- size and unit normalisation ----------------------------------------
 
@@ -238,16 +266,12 @@ class Domain:
             return 1 if lc > 0 else -1
         if self.kind == DomainKind.RATIONALS:
             return Fraction(1) / lc
-        m = self.modulus
-        c = int(lc) % m  # type: ignore[arg-type]
-        g = math.gcd(c, m)
-        mp = m // g
-        u0 = pow(c // g, -1, mp)
+        g, mp, u0 = self.divisor(lc)
         if g == 1:
             return u0
         # lift to a unit mod m: u == u0 (mod m/g), u == 1 (mod g)
         k = ((1 - u0) * pow(mp, -1, g)) % g
-        return (u0 + mp * k) % m
+        return (u0 + mp * k) % self.modulus  # type: ignore[operator]
 
     def coprime(self, a: Coefficient, b: Coefficient) -> bool:
         """Unit gcd test (used by the product criterion)."""
@@ -260,23 +284,18 @@ class Domain:
     # -- Bezout data (gcd domains) -------------------------------------------
 
     def ext_gcd(self, a: Coefficient, b: Coefficient) -> tuple[int, int, int]:
-        if self.kind == DomainKind.INTEGERS:
-            return ext_gcd(a, b)
-        if self.kind == DomainKind.RESIDUE:
-            # on canonical integer lifts; the identity holds mod m as well
-            return ext_gcd(int(a), int(b))  # type: ignore[arg-type]
-        raise ValueError("unsupported domain for ext_gcd")
+        """Over Z/m on the canonical integer lifts; the identity holds mod m
+        as well."""
+        if self.kind == DomainKind.RATIONALS:
+            raise ValueError("unsupported domain for ext_gcd")
+        return ext_gcd(a, b)  # type: ignore[arg-type]
 
     def lcm(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        if self.kind == DomainKind.INTEGERS:
-            return lcm_coeff(a, b)
+        """Over Z/m the integer lcm of the canonical lifts, deliberately not
+        reduced: cofactor division needs the true integer value."""
         if self.kind == DomainKind.RATIONALS:
             return Fraction(a) * b
-        if self.kind == DomainKind.RESIDUE:
-            # integer lcm of the canonical lifts, deliberately not reduced:
-            # cofactor division needs the true integer value
-            return lcm_coeff(int(a), int(b))  # type: ignore[arg-type]
-        raise ValueError("unsupported domain for lcm")
+        return lcm_coeff(a, b)  # type: ignore[arg-type]
 
     def render(self, a: Coefficient) -> str:
         return str(a)

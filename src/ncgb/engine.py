@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .coeffring import DomainKind
@@ -44,6 +43,7 @@ from .overlap import (
     V_DIVIDES_U,
     g_cofactors,
     overlaps,
+    pair_poly,
     s_cofactors,
     spoly1,
     spoly2,
@@ -135,36 +135,23 @@ def lm_reduce_step(f: Polynomial, g: Polynomial) -> Polynomial | None:
 class _ReducerSet:
     """A basis prepared for repeated :func:`normal_form` calls.
 
-    Precomputes, per reducer, the leading word and whatever the
-    coefficient domain needs for quotient tests (for residue rings the
-    modular inverse of the leading coefficient's unit part).
+    Picks the domain's division step once and precomputes, per reducer,
+    the leading word and the leading coefficient in the form the step
+    divides by (:meth:`Domain.divisor`).
     """
 
-    __slots__ = ("ring", "mode", "modulus", "reducers")
+    __slots__ = ("ring", "step", "modulus", "reducers")
 
     def __init__(self, ring: FreeAlgebra, basis):
         dom = ring.domain
-        # 0 = integers (nearest quotient, canonical ties), 1 = rationals,
-        # 2 = residue ring (division precomputed per reducer)
-        if dom.kind == DomainKind.INTEGERS:
-            self.mode, self.modulus = 0, None
-        elif dom.kind == DomainKind.RATIONALS:
-            self.mode, self.modulus = 1, None
-        else:
-            self.mode, self.modulus = 2, dom.modulus
         self.ring = ring
-        self.reducers = []
-        for g in basis:
-            if not g.terms:
-                continue
-            lmg, lcg = g.terms[0]
-            if self.mode == 2:
-                gg = math.gcd(int(lcg), self.modulus)
-                mp = self.modulus // gg
-                inv = pow(int(lcg) // gg, -1, mp)
-                self.reducers.append((lmg, len(lmg), (gg, mp, inv), g.terms, g))
-            else:
-                self.reducers.append((lmg, len(lmg), lcg, g.terms, g))
+        self.step = dom.step
+        self.modulus = dom.modulus
+        self.reducers = [
+            (g.terms[0][0], len(g.terms[0][0]), dom.divisor(g.terms[0][1]), g.terms, g)
+            for g in basis
+            if g.terms
+        ]
 
 
 def normal_form(
@@ -187,7 +174,7 @@ def normal_form(
     heappush, heappop = heapq.heappush, heapq.heappop
 
     prepared = basis if isinstance(basis, _ReducerSet) else _ReducerSet(ring, basis)
-    mode = prepared.mode
+    step = prepared.step
     modulus = prepared.modulus
     reducers = prepared.reducers
 
@@ -204,56 +191,23 @@ def normal_form(
             heappop(heap)
             continue
         lw = len(w)
-        hit = None
-        if mode == 0:
-            for lmg, lg, lcg, gterms, gpoly in reducers:
-                if lg > lw:
-                    continue
-                pos = w.find(lmg)
-                if pos < 0:
-                    continue
-                q, b1 = divmod(c, lcg)
-                b2 = b1 - lcg
-                ab1 = b1 if b1 >= 0 else -b1
-                ab2 = b2 if b2 >= 0 else -b2
-                if ab2 < ab1 or (ab2 == ab1 and b2 >= 0):
-                    a, b = q + 1, b2
-                else:
-                    a, b = q, b1
-                if a == 0:
-                    continue
-                ac = c if c >= 0 else -c
-                ab = b if b >= 0 else -b
-                if ab < ac or (b == -c and b > 0):
-                    hit = (pos, lg, gterms, gpoly, a, b)
-                    break
-        elif mode == 1:
-            for lmg, lg, lcg, gterms, gpoly in reducers:
-                if lg > lw:
-                    continue
-                pos = w.find(lmg)
-                if pos >= 0:
-                    hit = (pos, lg, gterms, gpoly, c / lcg, 0)
-                    break
+        for lmg, lg, div, gterms, gpoly in reducers:
+            if lg > lw:
+                continue
+            pos = w.find(lmg)
+            if pos < 0:
+                continue
+            hit = step(c, div)
+            if hit is not None:
+                break
         else:
-            for lmg, lg, (gg, mp, inv), gterms, gpoly in reducers:
-                if lg > lw:
-                    continue
-                pos = w.find(lmg)
-                if pos < 0 or c % gg:
-                    continue
-                a = (c // gg) * inv % mp
-                if a:
-                    hit = (pos, lg, gterms, gpoly, a, 0)
-                    break
-        if hit is None:
             heappop(heap)
             del coeffs[w]
             out.append((w, c))
             if not tail_reduce:
                 break
             continue
-        pos, lg, gterms, gpoly, a, b = hit
+        a, b = hit
         l, r = w[:pos], w[pos + lg:]
         if trace is not None:
             trace.append((gpoly, a, l, r))
@@ -305,13 +259,11 @@ def normal_form(
 # ---------------------------------------------------------------------------
 
 def coeff_criterion(f: Polynomial, g: Polynomial) -> bool:
-    """True when the G-pairs of ``(f, g)`` are redundant: over a field
-    always, over Z when one leading coefficient divides the other."""
+    """True when the G-pairs of ``(f, g)`` are redundant: when one leading
+    coefficient divides the other (always, over a field)."""
     dom = f.ring.domain
-    if dom.is_field:
-        return True
     cf, cg = f.leading_coeff(), g.leading_coeff()
-    return cg % cf == 0 or cf % cg == 0
+    return dom.divides(cf, cg) or dom.divides(cg, cf)
 
 
 def product_criterion(f: Polynomial, g: Polynomial, w: Word) -> bool:
@@ -322,50 +274,7 @@ def product_criterion(f: Polynomial, g: Polynomial, w: Word) -> bool:
     of ``g`` across the connection: ``u·w·LM(g) != LM(f)·w·v`` for all
     tail words ``u`` of ``f`` and ``v`` of ``g``.
     """
-    dom = f.ring.domain
-    if not dom.coprime(f.leading_coeff(), g.leading_coeff()):
-        return False
-    lmf, lmg = f.leading_word(), g.leading_word()
-    if overlaps(lmf, lmg):
-        return False
-    for u, _ in f.tail_iter():
-        for v, _ in g.tail_iter():
-            if len(u) + len(lmg) == len(lmf) + len(v) and u + w + lmg == lmf + w + v:
-                return False
-    return True
-
-
-def chain_criterion_s(
-    f: Polynomial, g: Polynomial, h: Polynomial, t_gh: Word, t_gf: Word, t_hf: Word
-) -> bool:
-    """Coefficient-and-word part of the S-chain discard.
-
-    The (g, h) S-pair on ``t_gh`` is redundant given ``f`` when
-    ``LC(f) | lcm(LC(g), LC(h))`` and both premise words ``t_gf``,
-    ``t_hf`` embed in ``t_gh``.  Callers are responsible for embedding
-    consistency (one ``f``-occurrence serving both premises) and for
-    having processed the premise S-pairs.
-    """
-    dom = f.ring.domain
-    if not dom.is_field:
-        lcm = dom.lcm(g.leading_coeff(), h.leading_coeff())
-        if lcm % f.leading_coeff() != 0:
-            return False
-    return t_gf in t_gh and t_hf in t_gh
-
-
-def chain_criterion_g(
-    f: Polynomial, g: Polynomial, h: Polynomial, t_gh: Word, t_gf: Word, t_hf: Word
-) -> bool:
-    """G-chain analogue of :func:`chain_criterion_s`: requires
-    ``LC(f) | gcd(LC(g), LC(h))``."""
-    dom = f.ring.domain
-    if dom.is_field:
-        return True  # G-pairs never exist over fields
-    gcd, _, _ = dom.ext_gcd(g.leading_coeff(), h.leading_coeff())
-    if gcd % f.leading_coeff() != 0:
-        return False
-    return t_gf in t_gh and t_hf in t_gh
+    return _PairMeta(f, g).holds(w)
 
 
 def pair_replacement(f: Polynomial, g: Polynomial):
@@ -375,16 +284,10 @@ def pair_replacement(f: Polynomial, g: Polynomial):
     The defining 2x2 matrix has determinant ``a_f b_g + a_g b_f = 1``,
     so ``{f, g}`` and ``{spoly, gpoly}`` generate the same ideal.
     """
-    ring = f.ring
     if f.leading_word() != g.leading_word():
         raise ValueError("pair replacement needs equal leading words")
-    dom = ring.domain
-    cf, cg = f.leading_coeff(), g.leading_coeff()
-    af, ag = s_cofactors(dom, cf, cg)
-    bf, bg, _ = g_cofactors(dom, cf, cg)
-    sp = ring.add(ring.scale(af, f), ring.scale(dom.neg(ag), g))
-    gp = ring.add(ring.scale(bf, f), ring.scale(bg, g))
-    return sp, gp
+    sp = pair_poly(f, b"", b"", g, b"", b"", False)
+    return sp, pair_poly(f, b"", b"", g, b"", b"", True)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +314,15 @@ def _first_type(u: Word, v: Word) -> list[Overlap]:
 # ---------------------------------------------------------------------------
 
 class _PairMeta:
-    """Cached per ordered pair (a, b): the w-independent parts of the
-    product criterion."""
+    """The product criterion for the second-type pairs of ordered
+    ``(f, g)``, with its w-independent parts computed once."""
 
-    __slots__ = ("coprime_no_overlap", "constraints")
+    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
         lmf, lmg = f.leading_word(), g.leading_word()
+        self.lmf, self.lmg = lmf, lmg
         cond1 = dom.coprime(f.leading_coeff(), g.leading_coeff())
         cond2 = not lmf or not lmg or not overlaps(lmf, lmg)
         self.coprime_no_overlap = cond1 and cond2
@@ -428,6 +332,16 @@ class _PairMeta:
                 for v, _ in g.tail_iter():
                     if len(u) + len(lmg) == len(lmf) + len(v):
                         self.constraints.append((u, v))
+
+    def holds(self, w: Word) -> bool:
+        """Does the criterion discard the pair at connecting word ``w``?"""
+        if not self.coprime_no_overlap:
+            return False
+        lmf, lmg = self.lmf, self.lmg
+        for u, v in self.constraints:
+            if u + w + lmg == lmf + w + v:
+                return False
+        return True
 
 
 class _Engine:
@@ -598,14 +512,7 @@ class _Engine:
         coefficients, no first-type common multiples, and no collision
         between a tail of one factor and the shifted leading word of
         the other."""
-        meta = self._meta(a, b)
-        if not meta.coprime_no_overlap:
-            return False
-        if not meta.constraints:
-            return True
-        lma = self.polys[a].leading_word()
-        lmb = self.polys[b].leading_word()
-        return not any(u + w + lmb == lma + w + v for u, v in meta.constraints)
+        return self._meta(a, b).holds(w)
 
     def _premise_ok(self, a: int, pa: int, la: int, b: int, pb: int, lb: int, t: Word) -> bool:
         """Was the sub-pair spanned by the occurrences ``a@pa`` and
@@ -736,49 +643,23 @@ class _Engine:
     # -- pair processing ----------------------------------------------------
 
     def _build_pair_poly(self, pair: CriticalPair) -> tuple[Polynomial, tuple]:
-        ring = self.ring
-        dom = ring.domain
         f, g = self.polys[pair.i], self.polys[pair.j]
-        cf, cg = f.leading_coeff(), g.leading_coeff()
         if pair.kind in (S1, G1):
             ov: Overlap = pair.data
             lf, rf = ov.tau_u.left, ov.tau_u.right
             lg, rg = ov.tau_v.left, ov.tau_v.right
-            pi, pj = len(lf), len(lg)
-            key = self._s_key(pair.i, pi, pair.j, pj, ov.t)
-            if pair.kind == S1:
-                self._log_cofactors(cf, cg)
-                af, ag = s_cofactors(dom, cf, cg)
-                p = ring.add(
-                    ring.scaled_translate(af, lf, rf, f),
-                    ring.scaled_translate(dom.neg(ag), lg, rg, g),
-                )
-            else:
-                bf, bg, _ = g_cofactors(dom, cf, cg)
-                p = ring.add(
-                    ring.scaled_translate(bf, lf, rf, f),
-                    ring.scaled_translate(bg, lg, rg, g),
-                )
+            key = self._s_key(pair.i, len(lf), pair.j, len(lg), ov.t)
+            if pair.kind == G1:
                 key = ("G1",) + key[1:]
-            return p, key
-        w: Word = pair.data
-        rf = w + g.leading_word()
-        lg = f.leading_word() + w
-        key = (pair.kind, pair.i, pair.j, w)
-        if pair.kind == S2:
-            self._log_cofactors(cf, cg)
-            af, ag = s_cofactors(dom, cf, cg)
-            p = ring.add(
-                ring.scaled_translate(af, b"", rf, f),
-                ring.scaled_translate(dom.neg(ag), lg, b"", g),
-            )
         else:
-            bf, bg, _ = g_cofactors(dom, cf, cg)
-            p = ring.add(
-                ring.scaled_translate(bf, b"", rf, f),
-                ring.scaled_translate(bg, lg, b"", g),
-            )
-        return p, key
+            w: Word = pair.data
+            lf, rf = b"", w + g.leading_word()
+            lg, rg = f.leading_word() + w, b""
+            key = (pair.kind, pair.i, pair.j, w)
+        gcd = pair.kind in (G1, G2)
+        if not gcd:
+            self._log_cofactors(f.leading_coeff(), g.leading_coeff())
+        return pair_poly(f, lf, rf, g, lg, rg, gcd), key
 
     def _process(self, pair: CriticalPair) -> None:
         if pair.kind == "P":
@@ -934,18 +815,18 @@ def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polyn
     return kept
 
 
-def completeness_flag(basis: list[Polynomial], bound: int, d_input: int | None = None) -> str:
+def completeness_flag(basis: list[Polynomial], bound: int) -> str:
     """Heuristic completeness verdict for a bounded run.
 
     The run certifies all critical pairs up to ``bound``.  A published
-    heuristic threshold says that when nothing new appears up to three
-    times the longest basis word, less one, the basis is plausibly
-    complete; we report ``conjecturally-complete`` when the bound covers
-    that window and ``truncated`` otherwise.  This is never a proof.
+    heuristic says that a basis is plausibly complete when the bound
+    reaches three times its longest word, less one.  The verdict checks
+    only that threshold: ``conjecturally-complete`` when the bound
+    covers it, ``truncated`` otherwise.  It does not check whether new
+    elements appeared near the bound, and it is never a proof.
     """
-    if d_input is None:
-        d_input = max((p.max_word_length() for p in basis), default=0)
-    return FLAG_COMPLETE if bound >= 3 * d_input - 1 else FLAG_TRUNCATED
+    longest = max((p.max_word_length() for p in basis), default=0)
+    return FLAG_COMPLETE if bound >= 3 * longest - 1 else FLAG_TRUNCATED
 
 
 def monomial_basis(G: list[Polynomial], d: int, ring: FreeAlgebra | None = None) -> list[Word]:
@@ -990,13 +871,7 @@ def _minimal_leading_terms(G: list[Polynomial], d: int):
         if g.is_zero or len(g.leading_word()) > d:
             continue
         w, c = g.leading_term()
-        if dom.kind == DomainKind.INTEGERS:
-            c = abs(c)
-        elif dom.is_field:
-            c = 1
-        else:
-            c = math.gcd(int(c), dom.modulus)
-        lts.append((w, c))
+        lts.append((w, dom.norm(c)))
     minimal = set()
     for w, c in lts:
         if not any(

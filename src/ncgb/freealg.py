@@ -99,9 +99,6 @@ class Bimonomial:
         return not self.left and not self.right
 
 
-IDENTITY = Bimonomial(b"", b"")
-
-
 class Polynomial:
     """An element of a free algebra, canonical descending term list."""
 
@@ -162,11 +159,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial")
         return self.terms[0]
-
-    def tail(self) -> "Polynomial":
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return Polynomial(self.ring, self.terms[1:])
 
     def tail_iter(self) -> Iterator[tuple[Word, Coefficient]]:
         """The non-leading terms, largest first."""
@@ -338,21 +330,7 @@ class FreeAlgebra:
 
     def scale(self, c, f: Polynomial) -> Polynomial:
         """``c * f`` for a coefficient ``c``."""
-        c = self.domain.coerce(c)
-        if c == 0:
-            return self.zero
-        mul = self.domain.mul
-        terms = tuple((w, mul(c, cf)) for w, cf in f.terms)
-        if self.domain.kind == DomainKind.RESIDUE:
-            terms = tuple((w, cc) for w, cc in terms if cc != 0)
-        return Polynomial(self, terms)
-
-    def apply_bimonomial(self, tau: Bimonomial, f: Polynomial) -> Polynomial:
-        """``left * f * right``; preserves the term order, no re-sort needed."""
-        l, r = tau.left, tau.right
-        if not l and not r:
-            return f
-        return Polynomial(self, tuple((l + w + r, c) for w, c in f.terms))
+        return self.scaled_translate(c, b"", b"", f)
 
     def scaled_translate(self, c, l: Word, r: Word, f: Polynomial) -> Polynomial:
         """``c * l * f * r`` in one pass."""

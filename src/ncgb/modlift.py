@@ -25,7 +25,6 @@ that common-multiple pattern divides its leading term.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from .coeffring import DomainKind, ext_gcd, residue_domain, squarefree_factors
@@ -162,13 +161,11 @@ def _combine(
 
     for g, h in itertools.product(lifted_a, lifted_b):
         cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
-        if (cg * ch) % m == 0:
-            warnings.warn(
-                "recombination pair dropped: leading coefficients "
-                f"{cg} and {ch} multiply to zero mod {m}",
-                stacklevel=2,
-            )
-            continue
+        assert (cg * ch) % m, (
+            f"leading coefficients {cg} and {ch} multiply to zero mod {m}: "
+            "they are canonical divisors of a and b lifted below them, so "
+            "their product is a nonzero proper divisor of m"
+        )
         u, v = g.leading_word(), h.leading_word()
         for T, pu, pv in _common_multiples(u, v, d, nletters):
             fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)

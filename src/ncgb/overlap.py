@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coeffring import Coefficient, Domain, DomainKind
-from .freealg import Bimonomial, FreeAlgebra, Polynomial, Word
+from .coeffring import Coefficient, Domain
+from .freealg import Bimonomial, Polynomial, Word
 
 LEFT_RIGHT = "left_right"
 RIGHT_LEFT = "right_left"
@@ -59,7 +59,6 @@ class SGResult:
 
     spoly: Polynomial
     gpoly: Polynomial | None
-    provenance: tuple
 
 
 def divides_word(u: Word, v: Word) -> list[Bimonomial]:
@@ -137,13 +136,8 @@ def s_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
     if domain.is_field:
         one = domain.one
         return domain.exact_div(one, cf), domain.exact_div(one, cg)
-    if domain.kind == DomainKind.INTEGERS:
-        m = domain.lcm(cf, cg)
-        return m // cf, m // cg
-    if domain.kind == DomainKind.RESIDUE:
-        m = domain.lcm(cf, cg)
-        return m // int(cf), m // int(cg)
-    raise ValueError("unsupported domain for S-polynomial cofactors")
+    m = domain.lcm(cf, cg)
+    return m // cf, m // cg
 
 
 def g_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
@@ -156,50 +150,44 @@ def g_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
 # S/G-polynomials
 # ---------------------------------------------------------------------------
 
+def pair_poly(
+    f: Polynomial, lf: Word, rf: Word, g: Polynomial, lg: Word, rg: Word, gcd: bool
+) -> Polynomial:
+    """``x·lf·f·rf + y·lg·g·rg`` for embeddings onto one common word: with
+    the S-cofactors ``(x, y) = (a_f, -a_g)``, which cancel the leading
+    terms, or with ``gcd`` the G-cofactors ``(b_f, b_g)``, which leave
+    ``gcd(LC(f), LC(g))`` on the common word."""
+    ring = f.ring
+    dom = ring.domain
+    cf, cg = f.leading_coeff(), g.leading_coeff()
+    if gcd:
+        x, y, _ = g_cofactors(dom, cf, cg)
+    else:
+        x, y = s_cofactors(dom, cf, cg)
+        y = dom.neg(y)
+    return ring.add(ring.scaled_translate(x, lf, rf, f), ring.scaled_translate(y, lg, rg, g))
+
+
 def spoly1(f: Polynomial, g: Polynomial, ov: Overlap) -> SGResult:
     """First-type critical pair on the overlap witness ``ov.t``.
 
     Raises ``ValueError`` when the overlap's embeddings do not reproduce
     the leading words of ``f`` and ``g``.
     """
-    ring = f.ring
     u, v = f.leading_word(), g.leading_word()
     if ov.tau_u.apply_word(u) != ov.t or ov.tau_v.apply_word(v) != ov.t:
         raise ValueError("overlap inconsistent with leading words")
-    cf, cg = f.leading_coeff(), g.leading_coeff()
-    af, ag = s_cofactors(ring.domain, cf, cg)
     lf, rf = ov.tau_u.left, ov.tau_u.right
     lg, rg = ov.tau_v.left, ov.tau_v.right
-    sp = ring.add(
-        ring.scaled_translate(af, lf, rf, f),
-        ring.scaled_translate(ring.domain.neg(ag), lg, rg, g),
-    )
-    gp = None
-    if not ring.domain.is_field:
-        bf, bg, _ = g_cofactors(ring.domain, cf, cg)
-        gp = ring.add(
-            ring.scaled_translate(bf, lf, rf, f),
-            ring.scaled_translate(bg, lg, rg, g),
-        )
-    return SGResult(sp, gp, ("overlap", ov))
+    sp = pair_poly(f, lf, rf, g, lg, rg, False)
+    gp = None if f.ring.domain.is_field else pair_poly(f, lf, rf, g, lg, rg, True)
+    return SGResult(sp, gp)
 
 
 def spoly2(f: Polynomial, g: Polynomial, w: Word) -> SGResult:
     """Second-type critical pair on the connection ``LM(f) * w * LM(g)``."""
-    ring = f.ring
-    cf, cg = f.leading_coeff(), g.leading_coeff()
-    af, ag = s_cofactors(ring.domain, cf, cg)
     rf = w + g.leading_word()
     lg = f.leading_word() + w
-    sp = ring.add(
-        ring.scaled_translate(af, b"", rf, f),
-        ring.scaled_translate(ring.domain.neg(ag), lg, b"", g),
-    )
-    gp = None
-    if not ring.domain.is_field:
-        bf, bg, _ = g_cofactors(ring.domain, cf, cg)
-        gp = ring.add(
-            ring.scaled_translate(bf, b"", rf, f),
-            ring.scaled_translate(bg, lg, b"", g),
-        )
-    return SGResult(sp, gp, ("connect", w))
+    sp = pair_poly(f, b"", rf, g, lg, b"", False)
+    gp = None if f.ring.domain.is_field else pair_poly(f, b"", rf, g, lg, b"", True)
+    return SGResult(sp, gp)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgb import ZZ, DEG_LEFT_LEX
-from ncgb.cli import JobError, main, parse_job, parse_poly_list
+from ncgb.cli import Job, JobError, main, parse_job, parse_poly_list
 from ncgb.coeffring import residue_domain
 
 from conftest import make_ring
@@ -75,12 +75,47 @@ def test_parse_job_multiple_ideal_statements():
         ("ring Z <x> deglex(x) bound 0;\nideal x;", "line 2 col 1: bound must be at least 1"),
         ("ring Z <x> deglex(x) bound 3;\nideal x @;", "line 2 col 9: unexpected character '@'"),
         ("ring Z <x,y> wdeglex(1) (x>y) bound 3;\nideal x;", "line 1 col 14: one weight per variable required"),
+        ("ring Zmod 1 <x> deglex(x) bound 3;\nideal x;", "line 1 col 11: modulus must be at least 2"),
+        ("ring Zmod 0 <x> deglex(x) bound 3;\nideal x;", "line 1 col 11: modulus must be at least 2"),
+        ("ring Z <x> deglex(x) bound 3;\nideal x, " + "(" * 3000 + "x" + ")" * 3000 + ";",
+         "line 2 col 7: expression nested too deeply"),
     ],
 )
 def test_parse_job_errors(src, msg):
     with pytest.raises(JobError) as exc:
         parse_job(src)
     assert str(exc.value) == msg
+
+
+_JOB_TOKENS = [
+    "ring", "ideal", "option", "bound", "Z", "Q", "Zmod", "deglex", "degrevlexR",
+    "wdeglex", "reduce", "stats", "x", "y", "q",
+    *";,<>()*^+-[]", "#", "\n", "@",
+]
+# job prefixes, so that the draws also reach the later parts of the grammar
+_HEADERS = [
+    "",
+    "ring Zmod",
+    "ring Q <x,y,q> wdeglex(",
+    "ring Z <x,y> deglex(x>y) bound 4;\nideal",
+    "ring Zmod 6 <x,y> degrevlexR(y>x) bound 3;",
+]
+# numbers stay small: exponents are expanded by repeated multiplication,
+# and a modulus is classified by trial division when its ring is built
+_job_texts = st.tuples(
+    st.sampled_from(_HEADERS),
+    st.lists(st.sampled_from(_JOB_TOKENS) | st.integers(0, 12).map(str), max_size=30),
+).map(lambda parts: " ".join([parts[0], *parts[1]]))
+
+
+@given(_job_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_job_returns_job_or_raises_job_error(text):
+    try:
+        job = parse_job(text)
+    except JobError:
+        return
+    assert isinstance(job, Job)
 
 
 # -- polynomial expression lists ----------------------------------------------
@@ -191,6 +226,19 @@ def test_cli_bound_too_small_exits_1(tmp_path, capsys):
 def test_cli_syntax_error_exits_1(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "ring Z <x> deglex(x) bund 3;")
     assert code == 1 and "error: line 1" in err
+
+
+@pytest.mark.parametrize(
+    "jobtext",
+    [
+        "ring Zmod 1 <x> deglex(x) bound 3;\nideal x;",
+        "ring Z <x> deglex(x) bound 3;\nideal " + "(" * 3000 + "x" + ")" * 3000 + ";",
+    ],
+)
+def test_cli_bad_modulus_and_deep_nesting_exit_1(tmp_path, capsys, jobtext):
+    code, out, err = run_cli(tmp_path, capsys, jobtext)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
 def test_cli_missing_file_exits_1(capsys):

@@ -1,7 +1,7 @@
 """Reduction, criteria, and the bounded completion loop."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncgb import (
     QQ,
@@ -108,6 +108,29 @@ def test_normal_form_residue_ring():
     # 4 = 2*2 mod 6 is divisible; 3 is not (gcd(2,6)=2 does not divide 3)
     assert normal_form(poly(r6, "4*x"), basis).is_zero
     assert r6.render(normal_form(poly(r6, "3*x"), basis)) == "3*x"
+
+
+@pytest.mark.parametrize(
+    "domain", [ZZ, QQ, residue_domain(6), residue_domain(7)], ids=["Z", "Q", "Z6", "Z7"]
+)
+@given(st.integers(-60, 60), st.integers(-60, 60))
+@settings(max_examples=80, deadline=None)
+def test_normal_form_steps_exactly_by_the_domain_rule(domain, cf, cg):
+    # the kernel and Domain.reduce_quotient are one rule: a step is taken
+    # iff the rule gives one, with its quotient, leaving its remainder
+    r = make_ring(domain, "x", DEG_LEFT_LEX, ["x"])
+    x = r.parse_word("x")
+    f, g = r.monomial(cf, x), r.monomial(cg, x)
+    assume(not f.is_zero and not g.is_zero)
+    trace = []
+    h = normal_form(f, [g], trace=trace)
+    q = domain.reduce_quotient(f.leading_coeff(), g.leading_coeff())
+    if q is None:
+        assert trace == [] and h == f
+    else:
+        a, b = q
+        assert trace == [(g, a, b"", b"")]
+        assert h == r.monomial(b, x)
 
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=4).map(bytes)
