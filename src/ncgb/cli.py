@@ -277,9 +277,14 @@ class _Parser:
             if t.kind == "punct" and t.value == "-":
                 self.fail("negative exponent")
             e = self.expect_nat("exponent")
+            # binary exponentiation; powers of one polynomial commute
             out = ring.one
-            for _ in range(e):
-                out = ring.multiply(out, base)
+            while e:
+                if e & 1:
+                    out = ring.multiply(out, base)
+                e >>= 1
+                if e:
+                    base = ring.multiply(base, base)
             return out
         return base
 

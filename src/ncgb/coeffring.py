@@ -301,18 +301,49 @@ class Domain:
         return str(a)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of these bases (Sorenson and Webster,
+# Math. Comp. 86, 2017); below it Miller-Rabin is exact.  Twelve bases are
+# exact only below 3.2e23.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin below ``_MR_EXACT_BELOW``, trial
+    division above it."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    if n < _MR_EXACT_BELOW:
+        return _strong_probable_prime(n)
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False
         f += 2
+    return True
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base of ``_MR_BASES``, for ``n`` prime to
+    all of them."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -324,6 +355,8 @@ def squarefree_factors(m: int) -> list[int]:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
+    if _is_prime(m):
+        return [m]
     out: list[int] = []
     rest, p = m, 2
     while p * p <= rest:
@@ -334,6 +367,8 @@ def squarefree_factors(m: int) -> list[int]:
                     f"prime-power moduli unsupported: {p}^2 divides {m}"
                 )
             out.append(p)
+            if _is_prime(rest):
+                break
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append(rest)

@@ -58,6 +58,65 @@ def discarded_pair_polys(result, nletters):
             raise AssertionError(f"unknown discard kind {kind}")
 
 
+def verify_by_lm_reduction(ring, basis, d):
+    """The exhaustive Buchberger check with every pair polynomial
+    lm-reduced from scratch: the same pairs, reducer order and failure
+    records as :func:`ncgb.verify_strong_basis`, without its word-form
+    shortcut over fields.  Kept as an oracle for that shortcut."""
+    from ncgb.engine import _ReducerSet, _first_type
+    from ncgb.freealg import Bimonomial
+    from ncgb.overlap import U_DIVIDES_V, Overlap, overlaps, spoly1, spoly2
+
+    failures = []
+    n = len(basis)
+    nletters = len(ring.alphabet)
+    order = sorted(
+        (g for g in basis if g.terms),
+        key=lambda g: (len(g.leading_word()), abs(g.leading_coeff())),
+    )
+    prepared = _ReducerSet(ring, order)
+
+    def nonzero(p):
+        return not normal_form(p, prepared).is_zero
+
+    for i in range(n):
+        for j in range(i, n):
+            f, g = basis[i], basis[j]
+            lmf, lmg = f.leading_word(), g.leading_word()
+            if lmf and lmg:
+                rels = overlaps(lmf, lmg)
+                if i != j and lmf == lmg:
+                    identity = Bimonomial(b"", b"")
+                    rels = [Overlap(lmf, identity, identity, U_DIVIDES_V)] + rels
+            elif lmf or lmg:
+                rels = _first_type(lmf, lmg)
+            else:
+                rels = []
+            for ov in rels:
+                if len(ov.t) > d:
+                    continue
+                res = spoly1(f, g, ov)
+                if nonzero(res.spoly):
+                    failures.append(("S1", i, j, ov))
+                if res.gpoly is not None and nonzero(res.gpoly):
+                    failures.append(("G1", i, j, ov))
+
+    for i in range(n):
+        for j in range(n):
+            f, g = basis[i], basis[j]
+            base = len(f.leading_word()) + len(g.leading_word())
+            monomials = len(f.terms) == 1 and len(g.terms) == 1
+            for k in range(d - base + 1):
+                for letters in itertools.product(range(nletters), repeat=k):
+                    w = bytes(letters)
+                    res = spoly2(f, g, w)
+                    if not monomials and nonzero(res.spoly):
+                        failures.append(("S2", i, j, w))
+                    if res.gpoly is not None and nonzero(res.gpoly):
+                        failures.append(("G2", i, j, w))
+    return failures
+
+
 # -- modular helpers --------------------------------------------------------
 
 

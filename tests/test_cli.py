@@ -1,13 +1,15 @@
 """Job-file parsing and the command-line front end."""
 
+import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgb import ZZ, DEG_LEFT_LEX
-from ncgb.cli import Job, JobError, main, parse_job, parse_poly_list
+from ncgb.cli import _OPTION_NAMES, Job, JobError, main, parse_job, parse_poly_list
 from ncgb.coeffring import residue_domain
 
 from conftest import make_ring
@@ -100,8 +102,7 @@ _HEADERS = [
     "ring Z <x,y> deglex(x>y) bound 4;\nideal",
     "ring Zmod 6 <x,y> degrevlexR(y>x) bound 3;",
 ]
-# numbers stay small: exponents are expanded by repeated multiplication,
-# and a modulus is classified by trial division when its ring is built
+# numbers stay small: a power of a sum such as (x + y)^e has 2^e terms
 _job_texts = st.tuples(
     st.sampled_from(_HEADERS),
     st.lists(st.sampled_from(_JOB_TOKENS) | st.integers(0, 12).map(str), max_size=30),
@@ -116,6 +117,75 @@ def test_parse_job_returns_job_or_raises_job_error(text):
     except JobError:
         return
     assert isinstance(job, Job)
+
+
+@st.composite
+def _cli_job_tokens(draw):
+    """The tokens of a job the grammar accepts, with bounds <= 4 and
+    exponents <= 12; it may still fail later (bound too small, prime
+    power modulus)."""
+    names = draw(st.sampled_from([["x"], ["x", "y"], ["x", "y", "q"]]))
+    domain = draw(st.sampled_from(["Z", "Q", "Zmod 2", "Zmod 4", "Zmod 6", "Zmod 7", "Zmod 12"]))
+    ordering = draw(st.sampled_from(["deglex", "degrevlexR"]))
+    ranked = draw(st.permutations(names))
+    atom = st.sampled_from(names) | st.integers(0, 12).map(str)
+    factor = atom | st.tuples(atom, st.integers(0, 12)).map(lambda t: f"{t[0]} ^ {t[1]}")
+    factor |= st.tuples(atom, atom).map(lambda t: f"[ {t[0]} , {t[1]} ]")
+    term = st.lists(factor, min_size=1, max_size=3).map(" * ".join)
+    sum_ = st.lists(term, min_size=1, max_size=3).map(" - ".join)
+    factor |= st.tuples(sum_, st.integers(0, 3)).map(lambda t: f"( {t[0]} ) ^ {t[1]}")
+    term = st.lists(factor, min_size=1, max_size=2).map(" * ".join)
+    poly = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    options = draw(st.lists(st.sampled_from(sorted(_OPTION_NAMES)), max_size=2))
+    text = (
+        f"ring {domain} < {' , '.join(names)} > {ordering} ( {' > '.join(ranked)} )"
+        f" bound {draw(st.integers(1, 4))} ;\nideal {' , '.join(gens)} ;"
+        + "".join(f"\noption {opt} ;" for opt in options)
+    )
+    return text.split(" ")
+
+
+@st.composite
+def _cli_job_texts(draw):
+    tokens = draw(_cli_job_tokens())
+    # splice in a few tokens, so that the error paths are reached too
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(tokens)))
+        tokens.insert(pos, draw(st.sampled_from(_JOB_TOKENS) | st.integers(0, 12).map(str)))
+    return " ".join(tokens)
+
+
+_CLI_FLAGS = [[], ["--output", "json"], ["--stats"], ["--monomials", "3"], ["--reduce"]]
+
+
+@given(_cli_job_texts(), st.sampled_from(_CLI_FLAGS))
+@settings(max_examples=200, deadline=None)
+def test_cli_main_exits_0_1_or_2_on_any_job_text(text, flags):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["-", *flags])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), text
+    assert (code == 0) == (err.getvalue() == ""), text
+
+
+def test_parse_large_exponent_by_squaring():
+    r = make_ring(ZZ, "x", DEG_LEFT_LEX, ["x"])
+    (p,) = parse_poly_list("x^200000", r)
+    assert p.terms == ((b"\0" * 200000, 1),)
+    (q,) = parse_poly_list("(x + 1)^5", r)
+    assert q == parse_poly_list("(x + 1)*(x + 1)*(x + 1)*(x + 1)*(x + 1)", r)[0]
+
+
+def test_parse_job_large_prime_modulus_is_a_field():
+    job = parse_job("ring Zmod 2305843009213693951 <x> deglex(x) bound 3;\nideal 3*x - 1;")
+    assert job.ring.domain.is_field
+    assert [job.ring.render(g) for g in job.generators] == ["3*x + 2305843009213693950"]
 
 
 # -- polynomial expression lists ----------------------------------------------

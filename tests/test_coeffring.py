@@ -1,5 +1,6 @@
 """Coefficient-domain arithmetic: Bezout data, division steps, residue moduli."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ncgb.coeffring import (
     QQ,
     ZZ,
     DomainKind,
+    _is_prime,
     ext_gcd,
     lcm_coeff,
     residue_domain,
@@ -168,6 +170,31 @@ def test_squarefree_factors():
     assert squarefree_factors(105) == [3, 5, 7]
     assert squarefree_factors(7) == [7]
     assert squarefree_factors(2) == [2]
+
+
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+def test_squarefree_factors_of_large_primes_skip_trial_division():
+    t0 = time.monotonic()
+    assert squarefree_factors(M61) == [M61]
+    assert squarefree_factors(6 * M61) == [2, 3, M61]
+    assert time.monotonic() - t0 < 5
+
+
+def test_primality_is_exact_on_strong_pseudoprimes():
+    assert not _is_prime(561)  # Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    # strong pseudoprime to the first twelve prime bases; base 41 exposes it
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(M61)
+    assert _is_prime(1000000000039)
+    assert not _is_prime(M61 * 1000003)
+
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(3000))
 
 
 def test_prime_power_moduli_rejected():

@@ -24,7 +24,7 @@ from ncgb.coeffring import residue_domain
 from ncgb.engine import _ReducerSet
 from ncgb.overlap import spoly2
 
-from conftest import make_ring, poly, polys
+from conftest import make_ring, poly, polys, verify_by_lm_reduction
 
 
 R = make_ring(ZZ, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
@@ -301,6 +301,32 @@ def test_verify_catches_wrong_coefficient():
     fails = verify_strong_basis(r, polys(r, "4*x, 6*x"), 2)
     # gcd element 2x is missing: the G-pair of (4x, 6x) cannot reduce
     assert fails
+
+
+@pytest.mark.parametrize(
+    "domain, kind, ranked, gens",
+    [
+        (QQ, DEG_RIGHT_LEX, "xyz", "z*y - y*z + z^2, z*x + y^2, y*x - 3*x*y"),
+        (residue_domain(7), DEG_RIGHT_LEX, "xyz", "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"),
+        (QQ, DEG_LEFT_LEX, "zyx", "y*x - 3*x*y - 3*z, z*x - 2*x*z + y, z*y - y*z - x"),
+    ],
+    ids=["Q-skew", "Z7-torsion", "Q-commutator"],
+)
+def test_field_verifier_agrees_with_lm_reduction(domain, kind, ranked, gens):
+    # over a field the verifier sums memoised word normal forms; on the
+    # completed basis and on every basis with one element dropped it must
+    # report exactly the failures that lm-reducing each pair reports
+    d = 6
+    r = make_ring(domain, "xyz", kind, list(ranked))
+    basis = buchberger(r, polys(r, gens), d).basis
+    assert verify_strong_basis(r, basis, d) == verify_by_lm_reduction(r, basis, d) == []
+    broken = 0
+    for k in range(len(basis)):
+        dropped = basis[:k] + basis[k + 1:]
+        fails = verify_strong_basis(r, dropped, d)
+        assert fails == verify_by_lm_reduction(r, dropped, d), k
+        broken += bool(fails)
+    assert broken
 
 
 # -- audit mode -------------------------------------------------------------------
