@@ -177,7 +177,10 @@ class _Parser:
             modulus = self.expect_nat("modulus")
             if modulus < 2:
                 self.fail("modulus must be at least 2", mod_tok)
-            domain = residue_domain(modulus)
+            try:
+                domain = residue_domain(modulus)
+            except ValueError as exc:  # too large for exact primality
+                self.fail(str(exc), mod_tok)
         else:
             self.fail("domain must be Z, Q or Zmod", dom_tok)
         self.expect_punct("<")

@@ -8,7 +8,8 @@ are supported:
 
 * the integers (a euclidean domain, the main case),
 * the rationals (a field, coefficients are ``fractions.Fraction``),
-* residue rings Z/mZ for m >= 2 (fields when m is prime).
+* residue rings Z/mZ for 2 <= m < 3317044064679887385961981, below
+  which primality is decided exactly (fields when m is prime).
 
 Residue-class values are always kept as the least non-negative
 representative; rationals are reduced with a positive denominator
@@ -304,13 +305,18 @@ class Domain:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of these bases (Sorenson and Webster,
 # Math. Comp. 86, 2017); below it Miller-Rabin is exact.  Twelve bases are
-# exact only below 3.2e23.
+# exact only below 3.2e23.  Residue moduli are bounded by it.
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# squarefree_factors trial-divides by the odd numbers below this, then
+# splits what is left with Pollard-Brent rho
+_TRIAL_LIMIT = 1000
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin below ``_MR_EXACT_BELOW``, trial
-    division above it."""
+    """Exact primality by Miller-Rabin; raises ``ValueError`` for ``n``
+    at or above ``_MR_EXACT_BELOW``, where the test is not exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"modulus must be below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -318,19 +324,6 @@ def _is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:
         return True
-    if n < _MR_EXACT_BELOW:
-        return _strong_probable_prime(n)
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin to every base of ``_MR_BASES``, for ``n`` prime to
-    all of them."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -347,32 +340,77 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite ``n`` that is not a perfect
+    square, by Pollard's rho with Brent's cycle search and batched gcds
+    (Brent, BIT 20, 1980).  Deterministic: the polynomials ``x^2 + c``
+    are tried for ``c = 1, 2, ...`` from ``x = 2``."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def squarefree_factors(m: int) -> list[int]:
     """Prime factors of a squarefree ``m >= 2``, ascending.
 
     Raises ``ValueError`` when ``m`` has a repeated prime factor (the
-    lifting construction needs pairwise-coprime leaves).
+    lifting construction needs pairwise-coprime leaves), and when ``m``
+    is too large for exact primality (see :func:`_is_prime`).
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if _is_prime(m):
         return [m]
+
+    def repeated(p: int) -> ValueError:
+        return ValueError(f"prime-power moduli unsupported: {p}^2 divides {m}")
+
     out: list[int] = []
     rest, p = m, 2
-    while p * p <= rest:
+    while p < _TRIAL_LIMIT and p * p <= rest:
         if rest % p == 0:
             rest //= p
             if rest % p == 0:
-                raise ValueError(
-                    f"prime-power moduli unsupported: {p}^2 divides {m}"
-                )
+                raise repeated(p)
             out.append(p)
-            if _is_prime(rest):
-                break
         p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append(rest)
-    return out
+    # rest has no factor below p, so below p*p it is 1 or a prime
+    pending = [rest] if rest > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < p * p or _is_prime(n):
+            if n in out:
+                raise repeated(n)
+            out.append(n)
+            continue
+        root = math.isqrt(n)
+        if root * root == n:
+            raise repeated(root)
+        f = _rho_factor(n)
+        pending += [f, n // f]
+    return sorted(out)
 
 
 ZZ = Domain(DomainKind.INTEGERS)

@@ -60,8 +60,9 @@ class ModulusPlan:
 def plan_modulus(m: int) -> ModulusPlan:
     """Factor ``m`` and lay out the recombination tree.
 
-    Raises ``ValueError`` for moduli below 2 and for non-squarefree
-    moduli (prime-power branches have no field leaves to combine).
+    Raises ``ValueError`` for moduli below 2, for moduli too large for
+    exact primality, and for non-squarefree moduli (prime-power branches
+    have no field leaves to combine).
     """
     primes = squarefree_factors(m)
 

@@ -60,9 +60,10 @@ def discarded_pair_polys(result, nletters):
 
 def verify_by_lm_reduction(ring, basis, d):
     """The exhaustive Buchberger check with every pair polynomial
-    lm-reduced from scratch: the same pairs, reducer order and failure
-    records as :func:`ncgb.verify_strong_basis`, without its word-form
-    shortcut over fields.  Kept as an oracle for that shortcut."""
+    lm-reduced from scratch by :func:`ncgb.normal_form`: the same pairs,
+    reducer order and failure records as :func:`ncgb.verify_strong_basis`,
+    without its memoised word forms and frontier steps.  Kept as an
+    oracle for them over every domain."""
     from ncgb.engine import _ReducerSet, _first_type
     from ncgb.freealg import Bimonomial
     from ncgb.overlap import U_DIVIDES_V, Overlap, overlaps, spoly1, spoly2

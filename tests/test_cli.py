@@ -303,6 +303,8 @@ def test_cli_syntax_error_exits_1(tmp_path, capsys):
     [
         "ring Zmod 1 <x> deglex(x) bound 3;\nideal x;",
         "ring Z <x> deglex(x) bound 3;\nideal " + "(" * 3000 + "x" + ")" * 3000 + ";",
+        # 26 digits: at or above the bound below which primality is exact
+        "ring Zmod 12345678901234567890123457 <x> deglex(x) bound 3;\nideal x;",
     ],
 )
 def test_cli_bad_modulus_and_deep_nesting_exit_1(tmp_path, capsys, jobtext):

@@ -182,6 +182,30 @@ def test_squarefree_factors_of_large_primes_skip_trial_division():
     assert time.monotonic() - t0 < 5
 
 
+def test_squarefree_factors_split_a_semiprime_by_rho():
+    # two 12- and 13-digit primes: trial division would take hours
+    p, q = 100000000003, 1000000000039
+    t0 = time.monotonic()
+    assert squarefree_factors(p * q) == [p, q]
+    assert time.monotonic() - t0 < 1
+    assert squarefree_factors(2 * 3 * 1000003 * 1000033) == [2, 3, 1000003, 1000033]
+    with pytest.raises(ValueError, match="1000003\\^2 divides"):
+        squarefree_factors(7 * 1000003**2)
+    with pytest.raises(ValueError, match="1000003\\^2 divides"):
+        squarefree_factors(1000003**2 * 1000033)
+
+
+def test_moduli_beyond_exact_primality_are_rejected():
+    # the least strong pseudoprime to the thirteen Miller-Rabin bases
+    bound = 3317044064679887385961981
+    assert residue_domain(bound - 2).modulus == bound - 2
+    for m in (bound, 10**25 + 13):
+        with pytest.raises(ValueError, match="modulus must be below"):
+            residue_domain(m)
+        with pytest.raises(ValueError, match="modulus must be below"):
+            squarefree_factors(m)
+
+
 def test_primality_is_exact_on_strong_pseudoprimes():
     assert not _is_prime(561)  # Carmichael number
     assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7

@@ -12,6 +12,7 @@ from ncgb import (
     coeff_criterion,
     completeness_flag,
     gb_equivalent,
+    gb_zmod,
     interreduce,
     lm_reduce_step,
     monomial_basis,
@@ -303,22 +304,34 @@ def test_verify_catches_wrong_coefficient():
     assert fails
 
 
+SKEW = "z*y - y*z + z^2, z*x + y^2, y*x - 3*x*y"
+TORSION = "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"
+COMMUTATOR = "y*x - 3*x*y - 3*z, z*x - 2*x*z + y, z*y - y*z - x"
+
+
 @pytest.mark.parametrize(
-    "domain, kind, ranked, gens",
+    "domain, kind, ranked, gens, complete",
     [
-        (QQ, DEG_RIGHT_LEX, "xyz", "z*y - y*z + z^2, z*x + y^2, y*x - 3*x*y"),
-        (residue_domain(7), DEG_RIGHT_LEX, "xyz", "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"),
-        (QQ, DEG_LEFT_LEX, "zyx", "y*x - 3*x*y - 3*z, z*x - 2*x*z + y, z*y - y*z - x"),
+        (QQ, DEG_RIGHT_LEX, "xyz", SKEW, buchberger),
+        (residue_domain(7), DEG_RIGHT_LEX, "xyz", TORSION, buchberger),
+        (QQ, DEG_LEFT_LEX, "zyx", COMMUTATOR, buchberger),
+        (ZZ, DEG_RIGHT_LEX, "xyz", SKEW, buchberger),
+        (ZZ, DEG_RIGHT_LEX, "xyz", TORSION, buchberger),
+        (residue_domain(30), DEG_RIGHT_LEX, "xyz", SKEW, gb_zmod),
+        (residue_domain(210), DEG_LEFT_LEX, "zyx", COMMUTATOR, gb_zmod),
     ],
-    ids=["Q-skew", "Z7-torsion", "Q-commutator"],
+    ids=["Q-skew", "Z7-torsion", "Q-commutator", "Z-skew", "Z-torsion", "Z30-skew",
+         "Z210-commutator"],
 )
-def test_field_verifier_agrees_with_lm_reduction(domain, kind, ranked, gens):
-    # over a field the verifier sums memoised word normal forms; on the
-    # completed basis and on every basis with one element dropped it must
-    # report exactly the failures that lm-reducing each pair reports
+def test_field_verifier_agrees_with_lm_reduction(domain, kind, ranked, gens, complete):
+    # the verifier sums memoised word forms and steps only the frontier
+    # words, those whose first reducer has a non-unit leading coefficient
+    # (none over a field); over every domain, on the completed basis and
+    # on every basis with one element dropped, it must report exactly the
+    # failures that lm-reducing each pair reports
     d = 6
     r = make_ring(domain, "xyz", kind, list(ranked))
-    basis = buchberger(r, polys(r, gens), d).basis
+    basis = complete(r, polys(r, gens), d).basis
     assert verify_strong_basis(r, basis, d) == verify_by_lm_reduction(r, basis, d) == []
     broken = 0
     for k in range(len(basis)):
