@@ -45,6 +45,8 @@ _ORDER_TOKENS = {
 }
 
 _PUNCT = ";,<>()*^+-[]"
+# ASCII only: str.isdigit also accepts digits such as "²" and "٣"
+_DIGITS = frozenset("0123456789")
 
 
 class JobError(Exception):
@@ -103,9 +105,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Token("nat", text[i:j], line, col))
             col += j - i
@@ -129,6 +131,8 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        # the job's length bound, once its ring declaration is parsed
+        self.bound: int | None = None
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -159,7 +163,13 @@ class _Parser:
         t = self.peek()
         if t.kind != "nat":
             self.fail(f"expected {what}")
-        return int(self.next().value)
+        return self.nat_value(self.next())
+
+    def nat_value(self, t: _Token) -> int:
+        try:
+            return int(t.value)
+        except ValueError:  # beyond the interpreter's limit on int() digits
+            self.fail(f"number too long ({len(t.value)} digits)", t)
 
     # -- ring declaration ---------------------------------------------------
 
@@ -280,6 +290,12 @@ class _Parser:
             if t.kind == "punct" and t.value == "-":
                 self.fail("negative exponent")
             e = self.expect_nat("exponent")
+            # the longest words of a nonzero power never cancel over Z, Q
+            # and squarefree Z/m, so a power past the bound is rejected
+            # before it is built
+            length = e * base.max_word_length()
+            if self.bound is not None and length > self.bound:
+                self.fail(f"bound too small for a power of length {length}", t)
             # binary exponentiation; powers of one polynomial commute
             out = ring.one
             while e:
@@ -295,7 +311,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "nat":
             self.next()
-            return ring.constant(int(t.value))
+            return ring.constant(self.nat_value(t))
         if t.kind == "ident":
             self.next()
             try:
@@ -317,7 +333,14 @@ class _Parser:
         self.fail("expected a polynomial")
 
 
-_OPTION_NAMES = {"reduce", "noreduce", "tailreduce", "notailreduce", "stats"}
+# option name -> (options key, value)
+_OPTION_NAMES = {
+    "reduce": ("reduce", True),
+    "noreduce": ("reduce", False),
+    "tailreduce": ("tail_reduce", True),
+    "notailreduce": ("tail_reduce", False),
+    "stats": ("stats", True),
+}
 
 
 def parse_job(text: str) -> Job:
@@ -326,6 +349,7 @@ def parse_job(text: str) -> Job:
     ring, bound = p.parse_ring_decl()
     if bound < 1:
         p.fail("bound must be at least 1")
+    p.bound = bound
     gens: list[Polynomial] = []
     options = {"reduce": True, "tail_reduce": True, "stats": False}
     while p.peek().kind != "eof":
@@ -336,16 +360,8 @@ def parse_job(text: str) -> Job:
             opt = p.expect_ident("option name")
             if opt.value not in _OPTION_NAMES:
                 p.fail(f"unknown option {opt.value!r}", opt)
-            if opt.value == "reduce":
-                options["reduce"] = True
-            elif opt.value == "noreduce":
-                options["reduce"] = False
-            elif opt.value == "tailreduce":
-                options["tail_reduce"] = True
-            elif opt.value == "notailreduce":
-                options["tail_reduce"] = False
-            else:
-                options["stats"] = True
+            key, value = _OPTION_NAMES[opt.value]
+            options[key] = value
         else:
             p.fail("expected 'ideal' or 'option'", stmt)
         p.expect_punct(";")
@@ -392,17 +408,12 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
     out = out or sys.stdout
     ring = job.ring
     opts = job.options
+    complete = gb_zmod if ring.domain.kind == DomainKind.RESIDUE else buchberger
     try:
-        if ring.domain.kind == DomainKind.RESIDUE:
-            result = gb_zmod(
-                ring, job.generators, job.bound,
-                reduce=opts["reduce"], tail_reduce=opts["tail_reduce"],
-            )
-        else:
-            result = buchberger(
-                ring, job.generators, job.bound,
-                reduce=opts["reduce"], tail_reduce=opts["tail_reduce"],
-            )
+        result = complete(
+            ring, job.generators, job.bound,
+            reduce=opts["reduce"], tail_reduce=opts["tail_reduce"],
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if "unsupported" in str(exc) else 1

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .coeffring import DomainKind
 from .freealg import Bimonomial, FreeAlgebra, Polynomial, Word
@@ -68,32 +68,8 @@ class Stats:
     peak_queue_size: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "pairs_created": self.pairs_created,
-            "pairs_discarded_product": self.pairs_discarded_product,
-            "pairs_discarded_chain": self.pairs_discarded_chain,
-            "pairs_discarded_coeff": self.pairs_discarded_coeff,
-            "reductions_to_zero": self.reductions_to_zero,
-            "basis_insertions": self.basis_insertions,
-            "peak_queue_size": self.peak_queue_size,
-        }
-
-
-@dataclass(slots=True)
-class CriticalPair:
-    """A queued critical pair.
-
-    ``data`` is an :class:`Overlap` for first-type pairs, the connecting
-    word for second-type pairs, and a raw polynomial for re-enqueued
-    basis elements (kind ``"P"``).  ``weight`` is the length of the
-    common-multiple word.
-    """
-
-    i: int
-    j: int
-    kind: str
-    data: object
-    weight: int
+        """The counters in field order, which is the CLI's JSON key order."""
+        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -218,35 +194,19 @@ def normal_form(
             coeffs[w] = b
         else:
             del coeffs[w]
-        if modulus is None:
-            for u, cu in gterms[1:]:
-                nw = l + u + r
-                old = coeffs.get(nw)
+        for u, cu in gterms[1:]:
+            nw = l + u + r
+            old = coeffs.get(nw)
+            nc = -a * cu if old is None else old - a * cu
+            if modulus is not None:
+                # -a*cu can hit zero mod a composite (zero divisors)
+                nc %= modulus
+            if nc:
                 if old is None:
-                    coeffs[nw] = -a * cu
                     heappush(heap, (antikey(nw), nw))
-                else:
-                    nc = old - a * cu
-                    if nc:
-                        coeffs[nw] = nc
-                    else:
-                        del coeffs[nw]
-        else:
-            for u, cu in gterms[1:]:
-                nw = l + u + r
-                old = coeffs.get(nw)
-                if old is None:
-                    # -a*cu can hit zero mod a composite (zero divisors)
-                    nc = -a * cu % modulus
-                    if nc:
-                        coeffs[nw] = nc
-                        heappush(heap, (antikey(nw), nw))
-                else:
-                    nc = (old - a * cu) % modulus
-                    if nc:
-                        coeffs[nw] = nc
-                    else:
-                        del coeffs[nw]
+                coeffs[nw] = nc
+            elif old is not None:
+                del coeffs[nw]
     if coeffs:
         # early exit without tail reduction: drain the remaining words
         rest = sorted(coeffs.items(), key=lambda item: antikey(item[0]))
@@ -539,8 +499,8 @@ class _PairMeta:
         self.coprime_no_overlap = cond1 and cond2
         self.constraints: list[tuple[Word, Word]] = []
         if self.coprime_no_overlap:
-            for u, _ in f.tail_iter():
-                for v, _ in g.tail_iter():
+            for u, _ in f.terms[1:]:
+                for v, _ in g.terms[1:]:
                     if len(u) + len(lmg) == len(lmf) + len(v):
                         self.constraints.append((u, v))
 
@@ -573,13 +533,16 @@ class _Engine:
         self.d = d
         self.reduce = reduce
         self.tail_reduce = tail_reduce
-        self.test_mode = test_mode
         self.field_mode = dom.is_field
 
         self.polys: list[Polynomial | None] = []
         self.active: list[int] = []
         self.lm_index: dict[Word, int] = {}
-        self.heap: list[tuple[int, int, CriticalPair]] = []
+        # queued pairs (weight, seq, kind, i, j, data): the weight is the
+        # length of the common word; data is the Overlap of a first-type
+        # pair, the connecting word of a second-type one, and the raw
+        # polynomial of a re-enqueued element (kind "P", i = j = -1)
+        self.heap: list[tuple] = []
         self.seq = itertools.count()
         self.buckets: dict[int, list[tuple[int, int]]] = {}
         self.level_done = 0
@@ -598,8 +561,8 @@ class _Engine:
     def _snapshot(self) -> list[Polynomial]:
         return [self.polys[k] for k in self.active]
 
-    def _push(self, pair: CriticalPair) -> None:
-        heapq.heappush(self.heap, (pair.weight, next(self.seq), pair))
+    def _push(self, weight: int, kind: str, i: int, j: int, data) -> None:
+        heapq.heappush(self.heap, (weight, next(self.seq), kind, i, j, data))
         if len(self.heap) > self.stats.peak_queue_size:
             self.stats.peak_queue_size = len(self.heap)
 
@@ -638,36 +601,27 @@ class _Engine:
         """Enqueue all critical pairs between element ``n`` and the
         active basis (including ``n`` itself)."""
         lmn = self.polys[n].leading_word()
-        for k in list(self.active):
-            f = self.polys[k]
-            if f is None:
-                continue
-            lmk = f.leading_word()
+        for k in self.active:
+            lmk = self.polys[k].leading_word()
             # first type, one orientation (the swapped S-poly is the
             # negation; the swapped G-poly differs by a multiple of the
             # S-poly)
             for ov in _first_type(lmk, lmn):
-                if len(ov.t) > self.d:
-                    continue
                 w = len(ov.t)
+                if w > self.d:
+                    continue
                 self.stats.pairs_created += 1
-                pk = len(ov.tau_u.left)
-                pn = len(ov.tau_v.left)
-                self._push(CriticalPair(k, n, S1, ov, w))
+                self._push(w, S1, k, n, ov)
                 if not self.field_mode:
                     self.stats.pairs_created += 1
                     if self._coeff_ok(k, n):
                         self.stats.pairs_discarded_coeff += 1
-                        self.processed.add(("G1", k, pk, n, pn, ov.t))
                     else:
-                        self._push(CriticalPair(k, n, G1, ov, w))
+                        self._push(w, G1, k, n, ov)
             # second type, both orientations, integers only
             if not self.field_mode:
-                pairs = {(k, n), (n, k)}
-                for a, b in sorted(pairs):
-                    base = len(self.polys[a].leading_word()) + len(
-                        self.polys[b].leading_word()
-                    )
+                base = len(lmk) + len(lmn)
+                for a, b in sorted({(k, n), (n, k)}):
                     for lvl in range(base, self.d + 1):
                         if lvl <= self.level_done:
                             self._materialize(a, b, lvl)
@@ -699,18 +653,18 @@ class _Engine:
             for letters in itertools.product(range(nletters), repeat=k):
                 w = bytes(letters)
                 self.stats.pairs_created += 1
-                if self._product_ok(a, b, w):
+                if meta.holds(w):
                     self.stats.pairs_discarded_product += 1
                     if self.discard_log is not None:
                         self.discard_log.append(("S2", f, g, w))
                     continue
-                self._push(CriticalPair(a, b, S2, w, lvl))
+                self._push(lvl, S2, a, b, w)
 
         if g_needed:
             for letters in itertools.product(range(nletters), repeat=k):
                 w = bytes(letters)
                 self.stats.pairs_created += 1
-                self._push(CriticalPair(a, b, G2, w, lvl))
+                self._push(lvl, G2, a, b, w)
         else:
             self.stats.pairs_created += count
             self.stats.pairs_discarded_coeff += count
@@ -747,17 +701,16 @@ class _Engine:
             return True
         return self._product_ok(first, second, gap)
 
-    def _chain_discard(self, pair: CriticalPair, t: Word, pi: int, pj: int) -> bool:
+    def _chain_discard(self, kind: str, i: int, j: int, t: Word, pi: int, pj: int) -> bool:
         """Gebauer-Moeller-style discard: some third active element
         occurs in ``t`` at a position distinct from the two defining
         occurrences, its leading coefficient divides the pair's lcm
         (S-kinds) or gcd (G-kinds), and both premise sub-pairs were
         already handled, so the pair's S/G-polynomial telescopes into
         combinations that are known to have strong representations."""
-        i, j = pair.i, pair.j
         g, h = self.polys[i], self.polys[j]
         dom = self.ring.domain
-        if pair.kind in (G1, G2):
+        if kind in (G1, G2):
             need = dom.ext_gcd(g.leading_coeff(), h.leading_coeff())[0]
         elif not self.field_mode:
             need = dom.lcm(g.leading_coeff(), h.leading_coeff())
@@ -820,9 +773,7 @@ class _Engine:
             sp, gp = pair_replacement(fe, h)
             self._retire(e)
             if not sp.is_zero:
-                self._push(
-                    CriticalPair(-1, -1, "P", sp, len(sp.leading_word()))
-                )
+                self._push(len(sp.leading_word()), "P", -1, -1, sp)
             h = normal_form(gp, self._snapshot(), tail_reduce=self.tail_reduce)
             if h.is_zero:  # pragma: no cover - leading term always survives
                 return
@@ -841,7 +792,7 @@ class _Engine:
         for k in victims:
             p = self.polys[k]
             self._retire(k)
-            self._push(CriticalPair(-1, -1, "P", p, len(p.leading_word())))
+            self._push(len(p.leading_word()), "P", -1, -1, p)
 
         n = len(self.polys)
         self.polys.append(h)
@@ -853,58 +804,50 @@ class _Engine:
 
     # -- pair processing ----------------------------------------------------
 
-    def _build_pair_poly(self, pair: CriticalPair) -> tuple[Polynomial, tuple]:
-        f, g = self.polys[pair.i], self.polys[pair.j]
-        if pair.kind in (S1, G1):
-            ov: Overlap = pair.data
-            lf, rf = ov.tau_u.left, ov.tau_u.right
-            lg, rg = ov.tau_v.left, ov.tau_v.right
-            key = self._s_key(pair.i, len(lf), pair.j, len(lg), ov.t)
-            if pair.kind == G1:
-                key = ("G1",) + key[1:]
-        else:
-            w: Word = pair.data
-            lf, rf = b"", w + g.leading_word()
-            lg, rg = f.leading_word() + w, b""
-            key = (pair.kind, pair.i, pair.j, w)
-        gcd = pair.kind in (G1, G2)
+    def _build_pair_poly(self, kind: str, f: Polynomial, g: Polynomial,
+                         lf: Word, rf: Word, lg: Word, rg: Word) -> Polynomial:
+        gcd = kind in (G1, G2)
         if not gcd:
             self._log_cofactors(f.leading_coeff(), g.leading_coeff())
-        return pair_poly(f, lf, rf, g, lg, rg, gcd), key
+        return pair_poly(f, lf, rf, g, lg, rg, gcd)
 
-    def _process(self, pair: CriticalPair) -> None:
-        if pair.kind == "P":
-            self._absorb(pair.data)
+    def _process(self, kind: str, i: int, j: int, data) -> None:
+        if kind == "P":
+            self._absorb(data)
             return
-        f, g = self.polys[pair.i], self.polys[pair.j]
+        f, g = self.polys[i], self.polys[j]
         if f is None or g is None:
             return
 
+        # the embeddings lf*LM(f)*rf == t == lg*LM(g)*rg; the occurrences
+        # of LM(f) and LM(g) in t start at pi and pj
+        if kind in (S1, G1):
+            lf, rf = data.tau_u.left, data.tau_u.right
+            lg, rg = data.tau_v.left, data.tau_v.right
+            t = data.t
+        else:
+            lf, rf = b"", data + g.leading_word()
+            lg, rg = f.leading_word() + data, b""
+            t = lg + g.leading_word()
+        pi, pj = len(lf), len(lg)
         # chain criterion at dequeue
-        if pair.kind in (S2, G2):
-            w: Word = pair.data
-            t = f.leading_word() + w + g.leading_word()
-            pi, pj = 0, len(f.leading_word()) + len(w)
-        else:
-            ov: Overlap = pair.data
-            t, pi, pj = ov.t, len(ov.tau_u.left), len(ov.tau_v.left)
-        if self._chain_discard(pair, t, pi, pj):
+        if self._chain_discard(kind, i, j, t, pi, pj):
             self.stats.pairs_discarded_chain += 1
-            if pair.kind == S1:
-                self.processed.add(self._s_key(pair.i, pi, pair.j, pj, t))
-            elif pair.kind == S2:
-                self.processed.add((S2, pair.i, pair.j, pair.data))
             if self.discard_log is not None:
-                self.discard_log.append(("chain-" + pair.kind, f, g, pair.data))
-            return
-
-        p, key = self._build_pair_poly(pair)
-        h = normal_form(p, self._snapshot(), tail_reduce=self.tail_reduce)
-        if h.is_zero:
-            self.stats.reductions_to_zero += 1
+                self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            self._insert(h)
-        self.processed.add(key)
+            p = self._build_pair_poly(kind, f, g, lf, rf, lg, rg)
+            h = normal_form(p, self._snapshot(), tail_reduce=self.tail_reduce)
+            if h.is_zero:
+                self.stats.reductions_to_zero += 1
+            else:
+                self._insert(h)
+        # an S-pair, discarded or reduced, is handled: a premise of the
+        # chain criterion from now on (G-pairs never are one)
+        if kind == S1:
+            self.processed.add(self._s_key(i, pi, j, pj, t))
+        elif kind == S2:
+            self.processed.add((S2, i, j, data))
 
     # -- main loop ------------------------------------------------------------
 
@@ -930,8 +873,8 @@ class _Engine:
                 continue
             if top is None:
                 break
-            _, _, pair = heapq.heappop(self.heap)
-            self._process(pair)
+            _, _, kind, i, j, data = heapq.heappop(self.heap)
+            self._process(kind, i, j, data)
 
         if self.unit:
             basis = [ring.one]

@@ -27,7 +27,7 @@ Three admissible orderings are provided, all refining total degree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .coeffring import Coefficient, Domain, DomainKind
 
@@ -160,10 +160,6 @@ class Polynomial:
             raise ValueError("zero polynomial")
         return self.terms[0]
 
-    def tail_iter(self) -> Iterator[tuple[Word, Coefficient]]:
-        """The non-leading terms, largest first."""
-        return iter(self.terms[1:])
-
     def max_word_length(self) -> int:
         return max((len(w) for w, _ in self.terms), default=0)
 
@@ -194,7 +190,6 @@ class FreeAlgebra:
         self._table = bytes(table)
         self._anti_table = bytes(anti)
         self._weights = alphabet.weights
-        self._uniform_weights = all(w == 1 for w in alphabet.weights)
 
         if ordering.kind == DEG_LEFT_LEX:
             self.word_key = self._key_left
@@ -258,11 +253,6 @@ class FreeAlgebra:
         return (ku > kv) - (ku < kv)
 
     # -- word construction -----------------------------------------------------
-
-    def word(self, letters: Iterable[int | str] = ()) -> Word:
-        """Build a word from letter indices or variable names."""
-        idx = self.alphabet.index
-        return bytes(c if isinstance(c, int) else idx(c) for c in letters)
 
     def parse_word(self, text: str) -> Word:
         """Convenience for tests: variable names separated by ``*``,

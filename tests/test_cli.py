@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,12 @@ def test_parse_job_multiple_ideal_statements():
         ("ring Zmod 0 <x> deglex(x) bound 3;\nideal x;", "line 1 col 11: modulus must be at least 2"),
         ("ring Z <x> deglex(x) bound 3;\nideal x, " + "(" * 3000 + "x" + ")" * 3000 + ";",
          "line 2 col 7: expression nested too deeply"),
+        # numbers are ASCII digits: str.isdigit accepts "²" and "٣", int() only the latter
+        ("ring Z <x> deglex(x) bound ²;", "line 1 col 28: unexpected character '²'"),
+        ("ring Z <x> deglex(x) bound 3;\nideal ٣*x;", "line 2 col 7: unexpected character '٣'"),
+        # past the interpreter's limit on the digits int() converts
+        ("ring Z <x> deglex(x) bound 3;\nideal " + "7" * 5000 + "*x;",
+         "line 2 col 7: number too long (5000 digits)"),
     ],
 )
 def test_parse_job_errors(src, msg):
@@ -180,6 +187,26 @@ def test_parse_large_exponent_by_squaring():
     assert p.terms == ((b"\0" * 200000, 1),)
     (q,) = parse_poly_list("(x + 1)^5", r)
     assert q == parse_poly_list("(x + 1)*(x + 1)*(x + 1)*(x + 1)*(x + 1)", r)[0]
+    # in a job, powers within the bound and powers of constants are built too
+    job = parse_job("ring Z <x,y> deglex(x>y) bound 3;\nideal (x + y)^3 - x^3, 2^70*y^0;")
+    assert len(job.generators[0].terms) == 7
+    assert job.ring.render(job.generators[1]) == str(2**70)
+
+
+@pytest.mark.parametrize(
+    "ideal, msg",
+    [
+        ("x^2000000000", "line 2 col 9: bound too small for a power of length 2000000000"),
+        ("(x + y)^40", "line 2 col 15: bound too small for a power of length 40"),
+        ("y, 2*(x*y)^2", "line 2 col 18: bound too small for a power of length 4"),
+    ],
+)
+def test_parse_job_rejects_a_power_past_the_bound_before_building_it(ideal, msg):
+    t0 = time.monotonic()
+    with pytest.raises(JobError) as exc:
+        parse_job(f"ring Z <x,y> deglex(x>y) bound 3;\nideal {ideal};")
+    assert str(exc.value) == msg
+    assert time.monotonic() - t0 < 1
 
 
 def test_parse_job_large_prime_modulus_is_a_field():
@@ -305,6 +332,8 @@ def test_cli_syntax_error_exits_1(tmp_path, capsys):
         "ring Z <x> deglex(x) bound 3;\nideal " + "(" * 3000 + "x" + ")" * 3000 + ";",
         # 26 digits: at or above the bound below which primality is exact
         "ring Zmod 12345678901234567890123457 <x> deglex(x) bound 3;\nideal x;",
+        # a literal longer than int() converts
+        "ring Z <x> deglex(x) bound 3;\nideal " + "7" * 5000 + "*x;",
     ],
 )
 def test_cli_bad_modulus_and_deep_nesting_exit_1(tmp_path, capsys, jobtext):

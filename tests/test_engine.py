@@ -21,6 +21,7 @@ from ncgb import (
     product_criterion,
     verify_strong_basis,
 )
+from ncgb.cli import parse_job
 from ncgb.coeffring import residue_domain
 from ncgb.engine import _ReducerSet
 from ncgb.overlap import spoly2
@@ -388,3 +389,36 @@ def test_completion_output_passes_exhaustive_check(gen_data):
     # inputs are members
     for g in gens:
         assert normal_form(g, res.basis, tail_reduce=True).is_zero
+
+
+# -- pinned counters ---------------------------------------------------------------
+
+_SKEW = "z*y - y*z + z^2, z*x + y^2, y*x - 3*x*y"
+_TORSION = "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"
+
+
+@pytest.mark.parametrize(
+    "job, stats",
+    [
+        ("ring Z <x,y> deglex(x>y) bound 5;\nideal 2*x, 3*y;\noption stats;",
+         (268, 36, 96, 104, 30, 4, 68)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 9;\nideal {_SKEW};",
+         (11532, 3112, 2467, 5747, 141, 17, 1725)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 8;\nideal {_TORSION};",
+         (16898, 1895, 6430, 8449, 99, 12, 4356)),
+        (f"ring Zmod 6 <x,y,z> degrevlexR(x>y>z) bound 7;\nideal {_TORSION};",
+         (41, 0, 2, 0, 24, 13, 23)),
+    ],
+    ids=["readme", "skew-Z-d9", "torsion-Z-d8", "torsion-Zmod6-d7"],
+)
+def test_stats_counters_are_pinned(job, stats):
+    # the counters are part of the CLI's JSON output, so a change to pair
+    # bookkeeping must leave every one of them, and their order, as it is
+    parsed = parse_job(job)
+    complete = gb_zmod if parsed.ring.domain.modulus else buchberger
+    res = complete(parsed.ring, parsed.generators, parsed.bound)
+    keys = [
+        "pairs_created", "pairs_discarded_product", "pairs_discarded_chain",
+        "pairs_discarded_coeff", "reductions_to_zero", "basis_insertions", "peak_queue_size",
+    ]
+    assert list(res.stats.as_dict().items()) == list(zip(keys, stats))
