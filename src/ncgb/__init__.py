@@ -15,16 +15,13 @@ from .engine import (
     completeness_flag,
     gb_equivalent,
     interreduce,
-    lm_reduce_step,
     monomial_basis,
     normal_form,
     pair_replacement,
-    product_criterion,
     verify_strong_basis,
 )
 from .freealg import (
     Alphabet,
-    Bimonomial,
     DEG_LEFT_LEX,
     DEG_RIGHT_LEX,
     FreeAlgebra,
@@ -33,13 +30,12 @@ from .freealg import (
     WEIGHTED_DEG_LEFT_LEX,
 )
 from .modlift import ModulusPlan, gb_mod_prime, gb_zmod, plan_modulus
-from .overlap import Overlap, divides_word, g_cofactors, overlaps, s_cofactors, spoly1, spoly2
+from .overlap import g_cofactors, overlaps, s_cofactors, spoly1, spoly2
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "Bimonomial",
     "DEG_LEFT_LEX",
     "DEG_RIGHT_LEX",
     "Domain",
@@ -48,7 +44,6 @@ __all__ = [
     "GBResult",
     "ModulusPlan",
     "Ordering",
-    "Overlap",
     "Polynomial",
     "QQ",
     "Stats",
@@ -57,7 +52,6 @@ __all__ = [
     "buchberger",
     "coeff_criterion",
     "completeness_flag",
-    "divides_word",
     "ext_gcd",
     "g_cofactors",
     "gb_equivalent",
@@ -65,13 +59,11 @@ __all__ = [
     "gb_zmod",
     "interreduce",
     "lcm_coeff",
-    "lm_reduce_step",
     "monomial_basis",
     "normal_form",
     "overlaps",
     "pair_replacement",
     "plan_modulus",
-    "product_criterion",
     "residue_domain",
     "s_cofactors",
     "spoly1",

@@ -47,6 +47,9 @@ _ORDER_TOKENS = {
 _PUNCT = ";,<>()*^+-[]"
 # ASCII only: str.isdigit also accepts digits such as "²" and "٣"
 _DIGITS = frozenset("0123456789")
+# the most digits a literal may have (int()'s limit, or CPython's default
+# where the limit is off); it also bounds a power of a constant
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 class JobError(Exception):
@@ -197,7 +200,10 @@ class _Parser:
         names = [self.expect_ident("variable name").value]
         while self.peek().value == ",":
             self.next()
-            names.append(self.expect_ident("variable name").value)
+            tok = self.expect_ident("variable name")
+            if len(names) == 255:  # a letter is one byte of a word
+                self.fail("at most 255 variables supported", tok)
+            names.append(tok.value)
         self.expect_punct(">")
         if len(set(names)) != len(names):
             self.fail("duplicate variable name")
@@ -275,11 +281,27 @@ class _Parser:
         t = self.parse_term(ring)
         return ring.negate(t) if neg else t
 
+    def check_length(self, length: int, what: str, tok: _Token) -> None:
+        if self.bound is not None and length > self.bound:
+            self.fail(f"bound too small for a {what} of length {length}", tok)
+
     def parse_term(self, ring: FreeAlgebra) -> Polynomial:
+        # over Z, Q and Z/p the longest words of a product of nonzero
+        # factors are the products of theirs, so a product past the bound
+        # is rejected before it is built; over Z/m zero divisors can
+        # cancel them ((2*x)*(3*x) is 0 mod 6), so there it is checked
+        # once built
+        integral = ring.domain.kind != DomainKind.RESIDUE or ring.domain.is_field
         acc = self.parse_factor(ring)
         while self.peek().kind == "punct" and self.peek().value == "*":
             self.next()
-            acc = ring.multiply(acc, self.parse_factor(ring))
+            tok = self.peek()
+            factor = self.parse_factor(ring)
+            if integral and acc and factor:
+                self.check_length(acc.max_word_length() + factor.max_word_length(), "product", tok)
+            acc = ring.multiply(acc, factor)
+            if not integral:
+                self.check_length(acc.max_word_length(), "product", tok)
         return acc
 
     def parse_factor(self, ring: FreeAlgebra) -> Polynomial:
@@ -293,9 +315,13 @@ class _Parser:
             # the longest words of a nonzero power never cancel over Z, Q
             # and squarefree Z/m, so a power past the bound is rejected
             # before it is built
-            length = e * base.max_word_length()
-            if self.bound is not None and length > self.bound:
-                self.fail(f"bound too small for a power of length {length}", t)
+            self.check_length(e * base.max_word_length(), "power", t)
+            # a power of a constant over Z or Q may have as many digits as
+            # a literal; over Z/m it is reduced at every multiplication
+            if ring.domain.modulus is None and len(base) == 1 and not base.max_word_length():
+                c = abs(int(base.leading_coeff()))
+                if c > 1 and e >= _MAX_DIGITS / math.log10(c):
+                    self.fail(f"number too long (a power of over {_MAX_DIGITS} digits)", t)
             # binary exponentiation; powers of one polynomial commute
             out = ring.one
             while e:
@@ -329,7 +355,10 @@ class _Parser:
             self.expect_punct(",")
             b = self.parse_polyexpr(ring)
             self.expect_punct("]")
-            return ring.add(ring.multiply(a, b), ring.negate(ring.multiply(b, a)))
+            out = ring.add(ring.multiply(a, b), ring.negate(ring.multiply(b, a)))
+            # a*b and b*a can cancel, so the commutator is checked once built
+            self.check_length(out.max_word_length(), "commutator", t)
+            return out
         self.fail("expected a polynomial")
 
 
@@ -368,10 +397,12 @@ def parse_job(text: str) -> Job:
     return Job(ring, bound, gens, options)
 
 
-def parse_poly_list(text: str, ring: FreeAlgebra) -> list[Polynomial]:
+def parse_poly_list(text: str, ring: FreeAlgebra, bound: int | None = None) -> list[Polynomial]:
     """Comma-separated polynomial expressions (used by ``--equiv`` files);
-    a trailing semicolon is allowed."""
+    a trailing semicolon is allowed.  With a ``bound``, powers, products
+    and commutators are length-checked as in a job."""
     p = _Parser(_tokenize(text))
+    p.bound = bound
     out = p.parse_polys(ring)
     if p.peek().value == ";":
         p.next()
@@ -428,7 +459,7 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
     verdict = None
     if equiv_text is not None:
         try:
-            target = parse_poly_list(equiv_text, ring)
+            target = parse_poly_list(equiv_text, ring, job.bound)
         except JobError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -36,18 +36,8 @@ import itertools
 from dataclasses import asdict, dataclass, field
 
 from .coeffring import DomainKind
-from .freealg import Bimonomial, FreeAlgebra, Polynomial, Word
-from .overlap import (
-    Overlap,
-    U_DIVIDES_V,
-    V_DIVIDES_U,
-    g_cofactors,
-    overlaps,
-    pair_poly,
-    s_cofactors,
-    spoly1,
-    spoly2,
-)
+from .freealg import FreeAlgebra, Polynomial, Word
+from .overlap import g_cofactors, overlaps, pair_poly, s_cofactors, spoly1, spoly2
 
 FLAG_COMPLETE = "conjecturally-complete"
 FLAG_TRUNCATED = "truncated"
@@ -86,27 +76,6 @@ class GBResult:
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
-
-def lm_reduce_step(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """One lm-reduction of ``f`` by ``g``, or ``None`` when not reducible.
-
-    Uses the leftmost occurrence of ``LM(g)`` inside ``LM(f)`` and the
-    domain's remainder division on the leading coefficients.
-    """
-    ring = f.ring
-    wf, cf = f.leading_term()
-    wg, cg = g.leading_term()
-    pos = wf.find(wg)
-    if pos < 0:
-        return None
-    q = ring.domain.reduce_quotient(cf, cg)
-    if q is None:
-        return None
-    a, _ = q
-    return ring.add(
-        f, ring.scaled_translate(ring.domain.neg(a), wf[:pos], wf[pos + len(wg):], g)
-    )
-
 
 class _ReducerSet:
     """A basis prepared for repeated :func:`normal_form` calls.
@@ -437,17 +406,6 @@ def coeff_criterion(f: Polynomial, g: Polynomial) -> bool:
     return dom.divides(cf, cg) or dom.divides(cg, cf)
 
 
-def product_criterion(f: Polynomial, g: Polynomial, w: Word) -> bool:
-    """Discard test for the second-type pair ``(f, g, w)``.
-
-    True iff the leading coefficients are coprime, the leading words
-    have no overlap, and no tail term of ``f`` collides with a tail term
-    of ``g`` across the connection: ``u·w·LM(g) != LM(f)·w·v`` for all
-    tail words ``u`` of ``f`` and ``v`` of ``g``.
-    """
-    return _PairMeta(f, g).holds(w)
-
-
 def pair_replacement(f: Polynomial, g: Polynomial):
     """For ``LM(f) == LM(g)`` over Z: the unimodular swap to
     ``(spoly, gpoly)`` on ``t = LM(f)`` with identity embeddings.
@@ -457,27 +415,23 @@ def pair_replacement(f: Polynomial, g: Polynomial):
     """
     if f.leading_word() != g.leading_word():
         raise ValueError("pair replacement needs equal leading words")
-    sp = pair_poly(f, b"", b"", g, b"", b"", False)
-    return sp, pair_poly(f, b"", b"", g, b"", b"", True)
+    t = f.leading_word()
+    return pair_poly(f, g, t, 0, 0, False), pair_poly(f, g, t, 0, 0, True)
 
 
 # ---------------------------------------------------------------------------
 # first-type relation enumeration (engine-internal: tolerates constants)
 # ---------------------------------------------------------------------------
 
-def _first_type(u: Word, v: Word) -> list[Overlap]:
-    """Overlaps of two leading words, one of which may be empty
-    (a constant basis element's leading word divides everything once,
-    canonically)."""
+def _first_type(u: Word, v: Word) -> list[tuple[Word, int, int]]:
+    """Placements of two leading words, one of which may be empty: a
+    constant's empty leading word is placed once, at the start of the
+    other word.  Two constants meet in the empty word only: the
+    S-polynomial af*f - ag*g cancels outright and the G-polynomial
+    produces their gcd."""
     if u and v:
         return overlaps(u, v)
-    if not u and not v:
-        # Two constants meet in the trivial placement only: the S-polynomial
-        # af*f - ag*g cancels outright and the G-polynomial produces their gcd.
-        return [Overlap(b"", Bimonomial(b"", b""), Bimonomial(b"", b""), U_DIVIDES_V)]
-    if not u:
-        return [Overlap(v, Bimonomial(b"", v), Bimonomial(b"", b""), U_DIVIDES_V)]
-    return [Overlap(u, Bimonomial(b"", b""), Bimonomial(b"", u), V_DIVIDES_U)]
+    return [(u or v, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +493,9 @@ class _Engine:
         self.active: list[int] = []
         self.lm_index: dict[Word, int] = {}
         # queued pairs (weight, seq, kind, i, j, data): the weight is the
-        # length of the common word; data is the Overlap of a first-type
-        # pair, the connecting word of a second-type one, and the raw
-        # polynomial of a re-enqueued element (kind "P", i = j = -1)
+        # length of the common word; data is the placement (t, pi, pj) of a
+        # first-type pair, the connecting word of a second-type one, and
+        # the raw polynomial of a re-enqueued element (kind "P", i = j = -1)
         self.heap: list[tuple] = []
         self.seq = itertools.count()
         self.buckets: dict[int, list[tuple[int, int]]] = {}
@@ -606,18 +560,18 @@ class _Engine:
             # first type, one orientation (the swapped S-poly is the
             # negation; the swapped G-poly differs by a multiple of the
             # S-poly)
-            for ov in _first_type(lmk, lmn):
-                w = len(ov.t)
+            for pl in _first_type(lmk, lmn):
+                w = len(pl[0])
                 if w > self.d:
                     continue
                 self.stats.pairs_created += 1
-                self._push(w, S1, k, n, ov)
+                self._push(w, S1, k, n, pl)
                 if not self.field_mode:
                     self.stats.pairs_created += 1
                     if self._coeff_ok(k, n):
                         self.stats.pairs_discarded_coeff += 1
                     else:
-                        self._push(w, G1, k, n, ov)
+                        self._push(w, G1, k, n, pl)
             # second type, both orientations, integers only
             if not self.field_mode:
                 base = len(lmk) + len(lmn)
@@ -805,11 +759,11 @@ class _Engine:
     # -- pair processing ----------------------------------------------------
 
     def _build_pair_poly(self, kind: str, f: Polynomial, g: Polynomial,
-                         lf: Word, rf: Word, lg: Word, rg: Word) -> Polynomial:
+                         t: Word, pi: int, pj: int) -> Polynomial:
         gcd = kind in (G1, G2)
         if not gcd:
             self._log_cofactors(f.leading_coeff(), g.leading_coeff())
-        return pair_poly(f, lf, rf, g, lg, rg, gcd)
+        return pair_poly(f, g, t, pi, pj, gcd)
 
     def _process(self, kind: str, i: int, j: int, data) -> None:
         if kind == "P":
@@ -819,24 +773,21 @@ class _Engine:
         if f is None or g is None:
             return
 
-        # the embeddings lf*LM(f)*rf == t == lg*LM(g)*rg; the occurrences
-        # of LM(f) and LM(g) in t start at pi and pj
+        # the placement: LM(f) and LM(g) occur in the common word t at pi
+        # and pj; a second-type pair is placed on LM(f)*w*LM(g)
         if kind in (S1, G1):
-            lf, rf = data.tau_u.left, data.tau_u.right
-            lg, rg = data.tau_v.left, data.tau_v.right
-            t = data.t
+            t, pi, pj = data
         else:
-            lf, rf = b"", data + g.leading_word()
-            lg, rg = f.leading_word() + data, b""
-            t = lg + g.leading_word()
-        pi, pj = len(lf), len(lg)
+            lmf = f.leading_word()
+            t = lmf + data + g.leading_word()
+            pi, pj = 0, len(lmf) + len(data)
         # chain criterion at dequeue
         if self._chain_discard(kind, i, j, t, pi, pj):
             self.stats.pairs_discarded_chain += 1
             if self.discard_log is not None:
                 self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            p = self._build_pair_poly(kind, f, g, lf, rf, lg, rg)
+            p = self._build_pair_poly(kind, f, g, t, pi, pj)
             h = normal_form(p, self._snapshot(), tail_reduce=self.tail_reduce)
             if h.is_zero:
                 self.stats.reductions_to_zero += 1
@@ -1014,33 +965,13 @@ def monomial_basis(G: list[Polynomial], d: int, ring: FreeAlgebra | None = None)
     return out
 
 
-def _minimal_leading_terms(G: list[Polynomial], d: int):
-    """Canonicalised minimal leading terms with words of length <= d."""
-    if not G:
-        return set()
-    ring = G[0].ring
-    dom = ring.domain
-    lts = []
-    for g in G:
-        if g.is_zero or len(g.leading_word()) > d:
-            continue
-        w, c = g.leading_term()
-        lts.append((w, dom.norm(c)))
-    minimal = set()
-    for w, c in lts:
-        if not any(
-            (w2, c2) != (w, c) and w2 in w and c % c2 == 0 for w2, c2 in lts
-        ):
-            minimal.add((w, c))
-    return minimal
-
-
 def gb_equivalent(G1: list[Polynomial], G2: list[Polynomial], d: int) -> bool:
     """Do two strong bases present the same ideal up to length ``d``?
 
-    Checks mutual reduction to zero plus equality of the canonicalised
-    minimal leading-term sets (coefficients matter: ``{2x}`` and
-    ``{3x}`` have equal leading words but different ideals).
+    Checks mutual reduction to zero plus equality of the canonical
+    minimal leading terms ``(word, norm of coefficient)`` with words of
+    length <= ``d``, which :func:`interreduce` keeps (coefficients matter:
+    ``{2x}`` and ``{3x}`` have equal leading words but different ideals).
     """
     for g in G1:
         if not normal_form(g, G2, tail_reduce=False).is_zero:
@@ -1048,7 +979,15 @@ def gb_equivalent(G1: list[Polynomial], G2: list[Polynomial], d: int) -> bool:
     for g in G2:
         if not normal_form(g, G1, tail_reduce=False).is_zero:
             return False
-    return _minimal_leading_terms(G1, d) == _minimal_leading_terms(G2, d)
+
+    def minimal(G):
+        return {
+            (g.leading_word(), g.ring.domain.norm(g.leading_coeff()))
+            for g in interreduce(G, tail_reduce=False)
+            if len(g.leading_word()) <= d
+        }
+
+    return minimal(G1) == minimal(G2)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,10 +1000,11 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     Every first-type S- and G-polynomial whose overlap word fits the
     bound, and every second-type one for every connecting word within
     the bound, must reduce to zero.  Returns a list of failures
-    (empty means the basis passed); each failure records the pair kind
-    and its data.  This routine deliberately shares no pair-selection
-    or criterion logic with the completion engine: it enumerates
-    everything and reduces.
+    (empty means the basis passed), each ``(kind, i, j, data)`` with
+    ``data`` the placement ``(t, pos_i, pos_j)`` of a first-type pair or
+    the connecting word of a second-type one.  This routine deliberately
+    shares no pair-selection or criterion logic with the completion
+    engine: it enumerates everything and reduces.
 
     Every pair polynomial ``p`` is tested the same way over Q, Z/p, Z
     and composite Z/m (:class:`_WordForms`): the verdict is whether
@@ -1139,25 +1079,22 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
         for j in range(i, n):
             f, g = basis[i], basis[j]
             lmf, lmg = f.leading_word(), g.leading_word()
-            if lmf and lmg:
-                rels = overlaps(lmf, lmg)
+            if lmf or lmg:
+                rels = _first_type(lmf, lmg)
                 if i != j and lmf == lmg:
                     # distinct elements sharing a leading word: the
-                    # aligned relation matters (gcd combination)
-                    identity = Bimonomial(b"", b"")
-                    rels = [Overlap(lmf, identity, identity, U_DIVIDES_V)] + rels
-            elif lmf or lmg:
-                rels = _first_type(lmf, lmg)
+                    # aligned placement matters (gcd combination)
+                    rels = [(lmf, 0, 0)] + rels
             else:
                 rels = []
-            for ov in rels:
-                if len(ov.t) > d:
+            for pl in rels:
+                if len(pl[0]) > d:
                     continue
-                res = spoly1(f, g, ov)
-                if not reduces_to_zero(res.spoly):
-                    failures.append(("S1", i, j, ov))
-                if res.gpoly is not None and not reduces_to_zero(res.gpoly):
-                    failures.append(("G1", i, j, ov))
+                sp, gp = spoly1(f, g, *pl)
+                if not reduces_to_zero(sp):
+                    failures.append(("S1", i, j, pl))
+                if gp is not None and not reduces_to_zero(gp):
+                    failures.append(("G1", i, j, pl))
             forms.next_pair()
 
     for i in range(n):
@@ -1168,10 +1105,10 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
             for k in range(d - base + 1):
                 for letters in itertools.product(range(nletters), repeat=k):
                     w = bytes(letters)
-                    res = spoly2(f, g, w)
-                    if not monomials and not reduces_to_zero(res.spoly):
+                    sp, gp = spoly2(f, g, w)
+                    if not monomials and not reduces_to_zero(sp):
                         failures.append(("S2", i, j, w))
-                    if res.gpoly is not None and not reduces_to_zero(res.gpoly):
+                    if gp is not None and not reduces_to_zero(gp):
                         failures.append(("G2", i, j, w))
             forms.next_pair()
     return failures

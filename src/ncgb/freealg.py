@@ -1,10 +1,8 @@
-"""Words, bimonomials and polynomials in a free associative algebra.
+"""Words and polynomials in a free associative algebra.
 
 A word over an alphabet of up to 255 letters is stored as ``bytes`` of
 letter indices, so concatenation, subword search and lexicographic
-comparison all run at C speed.  A *bimonomial* ``l ** r`` acts on a word
-``t`` by ``t -> l t r`` -- it is the two-sided analogue of a monomial
-multiplier.  Polynomials are kept canonical: a tuple of ``(word, coeff)``
+comparison all run at C speed.  Polynomials are kept canonical: a tuple of ``(word, coeff)``
 terms, strictly descending in the algebra's monomial ordering, with no
 zero coefficients; the zero polynomial is the empty tuple.
 
@@ -82,21 +80,6 @@ class Ordering:
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
             raise ValueError(f"unknown ordering kind {self.kind!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Bimonomial:
-    """A two-sided monomial multiplier ``t -> left * t * right``."""
-
-    left: Word
-    right: Word
-
-    def apply_word(self, t: Word) -> Word:
-        return self.left + t + self.right
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.left and not self.right
 
 
 class Polynomial:

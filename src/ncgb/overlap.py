@@ -1,9 +1,12 @@
-"""Overlaps of words and the S/G-polynomials they induce.
+"""Word placements (overlaps) and the S/G-polynomials they induce.
 
 Two nonempty words ``u`` and ``v`` *overlap* when they can be placed on a
 common word ``t`` so that their occurrence intervals intersect and jointly
 cover ``t`` exactly.  Four shapes arise: ``u`` hanging over the left end
 of ``v``, over the right end, ``u`` inside ``v``, or ``v`` inside ``u``.
+Every common multiple, here and in the engine, is recorded as a
+*placement* ``(t, pos_u, pos_v)``: the word and where each occurrence
+starts in it.
 For ``u == v`` the identity placement is excluded (it would only ever
 produce a zero S-polynomial); shifted self-overlaps such as ``xyx`` on
 ``xyx`` giving ``xyxyx`` are kept.
@@ -26,56 +29,16 @@ whenever both leading coefficients are positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .coeffring import Coefficient, Domain
-from .freealg import Bimonomial, Polynomial, Word
-
-LEFT_RIGHT = "left_right"
-RIGHT_LEFT = "right_left"
-U_DIVIDES_V = "u_divides_v"
-V_DIVIDES_U = "v_divides_u"
-
-_CASE_ORDER = {LEFT_RIGHT: 0, RIGHT_LEFT: 1, U_DIVIDES_V: 2, V_DIVIDES_U: 3}
-
-
-@dataclass(frozen=True, slots=True)
-class Overlap:
-    """A common multiple word ``t`` with embeddings of ``u`` and ``v``.
-
-    ``tau_u.apply_word(u) == t == tau_v.apply_word(v)``.
-    """
-
-    t: Word
-    tau_u: Bimonomial
-    tau_v: Bimonomial
-    case: str
-
-
-@dataclass(frozen=True, slots=True)
-class SGResult:
-    """S-polynomial (and G-polynomial, when defined) of a critical pair."""
-
-    spoly: Polynomial
-    gpoly: Polynomial | None
-
-
-def divides_word(u: Word, v: Word) -> list[Bimonomial]:
-    """All bimonomials ``l ** r`` with ``l*u*r == v``, left to right."""
-    if not u:
-        raise ValueError("divisor word must be nonempty")
-    out: list[Bimonomial] = []
-    i = v.find(u)
-    while i != -1:
-        out.append(Bimonomial(v[:i], v[i + len(u):]))
-        i = v.find(u, i + 1)
-    return out
+from .freealg import Polynomial, Word
 
 
 def placements(u: Word, v: Word) -> Iterator[tuple[Word, int, int]]:
     """Joint placements ``(t, pos_u, pos_v)`` of ``u`` and ``v`` whose
-    occurrence intervals intersect and exactly cover ``t``.
+    occurrence intervals intersect and exactly cover ``t``, by increasing
+    offset of ``v`` relative to ``u``.
 
     Includes the identity placement when ``u == v``; callers that must
     exclude it (see :func:`overlaps`) filter it out.
@@ -95,34 +58,25 @@ def placements(u: Word, v: Word) -> Iterator[tuple[Word, int, int]]:
             yield t, -shift, 0
 
 
-def _classify(pos_u: int, lu: int, pos_v: int, lv: int) -> str:
-    if pos_v >= pos_u and pos_v + lv <= pos_u + lu:
-        return V_DIVIDES_U
-    if pos_u >= pos_v and pos_u + lu <= pos_v + lv:
-        return U_DIVIDES_V
-    return LEFT_RIGHT if pos_u < pos_v else RIGHT_LEFT
+def overlaps(u: Word, v: Word) -> list[tuple[Word, int, int]]:
+    """All placements ``(t, pos_u, pos_v)`` of two nonempty words but the
+    identity one of ``u == v``, ordered by ``(|t|, shape, pos_u)``.
 
-
-def overlaps(u: Word, v: Word) -> list[Overlap]:
-    """All overlaps of two nonempty words, deterministically ordered by
-    ``(|t|, case, position)``; the identity placement of ``u == v`` is
-    excluded."""
+    The shapes rank ``u`` hanging over the left end of ``v``, over its
+    right end, ``u`` inside ``v`` and ``v`` inside ``u``.  The rank needs
+    no key of its own.  One of the two positions is always 0.  An inside
+    shape has ``|t| = max(|u|, |v|)`` and a hanging one a longer ``t``;
+    both inside shapes fit one ``t`` only in the identity placement.
+    Among hanging shapes, ``u`` hangs over the left end exactly when
+    ``pos_u == 0``.  So a stable sort on ``(|t|, pos_u)`` gives the order,
+    keeping the occurrences of ``v`` inside ``u`` in offset order.
+    """
     if not u or not v:
         raise ValueError("overlap words must be nonempty")
-    lu, lv = len(u), len(v)
-    found: list[tuple[int, int, int, Overlap]] = []
-    for t, pu, pv in placements(u, v):
-        if lu == lv and pu == pv:  # identity placement (only when u == v)
-            continue
-        ov = Overlap(
-            t,
-            Bimonomial(t[:pu], t[pu + lu:]),
-            Bimonomial(t[:pv], t[pv + lv:]),
-            _classify(pu, lu, pv, lv),
-        )
-        found.append((len(t), _CASE_ORDER[ov.case], pu, ov))
-    found.sort(key=lambda item: item[:3])
-    return [ov for *_key, ov in found]
+    same = len(u) == len(v)
+    found = [p for p in placements(u, v) if not (same and p[1] == p[2])]
+    found.sort(key=lambda p: (len(p[0]), p[1]))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +104,13 @@ def g_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
 # S/G-polynomials
 # ---------------------------------------------------------------------------
 
-def pair_poly(
-    f: Polynomial, lf: Word, rf: Word, g: Polynomial, lg: Word, rg: Word, gcd: bool
-) -> Polynomial:
-    """``x·lf·f·rf + y·lg·g·rg`` for embeddings onto one common word: with
-    the S-cofactors ``(x, y) = (a_f, -a_g)``, which cancel the leading
-    terms, or with ``gcd`` the G-cofactors ``(b_f, b_g)``, which leave
-    ``gcd(LC(f), LC(g))`` on the common word."""
+def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, gcd: bool) -> Polynomial:
+    """``x·lf·f·rf + y·lg·g·rg`` on the common word ``t``, where the
+    leading words of ``f`` and ``g`` occur in ``t`` at ``pf`` and ``pg``
+    (``t == lf·LM(f)·rf == lg·LM(g)·rg``): with the S-cofactors
+    ``(x, y) = (a_f, -a_g)``, which cancel the leading terms, or with
+    ``gcd`` the G-cofactors ``(b_f, b_g)``, which leave
+    ``gcd(LC(f), LC(g))`` on ``t``."""
     ring = f.ring
     dom = ring.domain
     cf, cg = f.leading_coeff(), g.leading_coeff()
@@ -165,29 +119,33 @@ def pair_poly(
     else:
         x, y = s_cofactors(dom, cf, cg)
         y = dom.neg(y)
-    return ring.add(ring.scaled_translate(x, lf, rf, f), ring.scaled_translate(y, lg, rg, g))
+    ef = pf + len(f.leading_word())
+    eg = pg + len(g.leading_word())
+    return ring.add(
+        ring.scaled_translate(x, t[:pf], t[ef:], f), ring.scaled_translate(y, t[:pg], t[eg:], g)
+    )
 
 
-def spoly1(f: Polynomial, g: Polynomial, ov: Overlap) -> SGResult:
-    """First-type critical pair on the overlap witness ``ov.t``.
+def _pair(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int):
+    sp = pair_poly(f, g, t, pf, pg, False)
+    return sp, None if f.ring.domain.is_field else pair_poly(f, g, t, pf, pg, True)
 
-    Raises ``ValueError`` when the overlap's embeddings do not reproduce
-    the leading words of ``f`` and ``g``.
+
+def spoly1(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int):
+    """``(spoly, gpoly)`` of the first-type pair placed on ``t`` at ``pf``
+    and ``pg``; ``gpoly`` is None over a field.
+
+    Raises ``ValueError`` when the leading words of ``f`` and ``g`` do
+    not occur in ``t`` at those positions.
     """
     u, v = f.leading_word(), g.leading_word()
-    if ov.tau_u.apply_word(u) != ov.t or ov.tau_v.apply_word(v) != ov.t:
-        raise ValueError("overlap inconsistent with leading words")
-    lf, rf = ov.tau_u.left, ov.tau_u.right
-    lg, rg = ov.tau_v.left, ov.tau_v.right
-    sp = pair_poly(f, lf, rf, g, lg, rg, False)
-    gp = None if f.ring.domain.is_field else pair_poly(f, lf, rf, g, lg, rg, True)
-    return SGResult(sp, gp)
+    if t[pf:pf + len(u)] != u or t[pg:pg + len(v)] != v:
+        raise ValueError("placement inconsistent with leading words")
+    return _pair(f, g, t, pf, pg)
 
 
-def spoly2(f: Polynomial, g: Polynomial, w: Word) -> SGResult:
-    """Second-type critical pair on the connection ``LM(f) * w * LM(g)``."""
-    rf = w + g.leading_word()
-    lg = f.leading_word() + w
-    sp = pair_poly(f, b"", rf, g, lg, b"", False)
-    gp = None if f.ring.domain.is_field else pair_poly(f, b"", rf, g, lg, b"", True)
-    return SGResult(sp, gp)
+def spoly2(f: Polynomial, g: Polynomial, w: Word):
+    """``(spoly, gpoly)`` of the second-type pair on the connection
+    ``LM(f) * w * LM(g)``; ``gpoly`` is None over a field."""
+    lmf = f.leading_word()
+    return _pair(f, g, lmf + w + g.leading_word(), 0, len(lmf) + len(w))

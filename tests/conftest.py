@@ -34,26 +34,26 @@ def poly(ring, text):
 def discarded_pair_polys(result, nletters):
     """Materialize every S-/G-polynomial the engine discarded.
 
-    Family entries expand to all connecting words of their level.  The
-    yield order follows the log.
+    First-type entries carry the placement ``(t, pos_f, pos_g)``,
+    second-type ones the connecting word; family entries expand to all
+    connecting words of their level.  The yield order follows the log.
     """
     import itertools
 
     from ncgb.overlap import spoly1, spoly2
 
-    for entry in result.discard_log:
-        kind, f, g, data = entry
+    for kind, f, g, data in result.discard_log:
         if kind == "S2-family":
             for letters in itertools.product(range(nletters), repeat=data):
-                yield spoly2(f, g, bytes(letters)).spoly
+                yield spoly2(f, g, bytes(letters))[0]
         elif kind in ("S2", "chain-S2"):
-            yield spoly2(f, g, data).spoly
+            yield spoly2(f, g, data)[0]
         elif kind == "chain-G2":
-            yield spoly2(f, g, data).gpoly
+            yield spoly2(f, g, data)[1]
         elif kind == "chain-S1":
-            yield spoly1(f, g, data).spoly
+            yield spoly1(f, g, *data)[0]
         elif kind == "chain-G1":
-            yield spoly1(f, g, data).gpoly
+            yield spoly1(f, g, *data)[1]
         else:  # pragma: no cover - future kinds must be audited too
             raise AssertionError(f"unknown discard kind {kind}")
 
@@ -65,8 +65,7 @@ def verify_by_lm_reduction(ring, basis, d):
     without its memoised word forms and frontier steps.  Kept as an
     oracle for them over every domain."""
     from ncgb.engine import _ReducerSet, _first_type
-    from ncgb.freealg import Bimonomial
-    from ncgb.overlap import U_DIVIDES_V, Overlap, overlaps, spoly1, spoly2
+    from ncgb.overlap import spoly1, spoly2
 
     failures = []
     n = len(basis)
@@ -84,23 +83,20 @@ def verify_by_lm_reduction(ring, basis, d):
         for j in range(i, n):
             f, g = basis[i], basis[j]
             lmf, lmg = f.leading_word(), g.leading_word()
-            if lmf and lmg:
-                rels = overlaps(lmf, lmg)
-                if i != j and lmf == lmg:
-                    identity = Bimonomial(b"", b"")
-                    rels = [Overlap(lmf, identity, identity, U_DIVIDES_V)] + rels
-            elif lmf or lmg:
+            if lmf or lmg:
                 rels = _first_type(lmf, lmg)
+                if i != j and lmf == lmg:
+                    rels = [(lmf, 0, 0)] + rels
             else:
                 rels = []
-            for ov in rels:
-                if len(ov.t) > d:
+            for pl in rels:
+                if len(pl[0]) > d:
                     continue
-                res = spoly1(f, g, ov)
-                if nonzero(res.spoly):
-                    failures.append(("S1", i, j, ov))
-                if res.gpoly is not None and nonzero(res.gpoly):
-                    failures.append(("G1", i, j, ov))
+                sp, gp = spoly1(f, g, *pl)
+                if nonzero(sp):
+                    failures.append(("S1", i, j, pl))
+                if gp is not None and nonzero(gp):
+                    failures.append(("G1", i, j, pl))
 
     for i in range(n):
         for j in range(n):
@@ -110,10 +106,10 @@ def verify_by_lm_reduction(ring, basis, d):
             for k in range(d - base + 1):
                 for letters in itertools.product(range(nletters), repeat=k):
                     w = bytes(letters)
-                    res = spoly2(f, g, w)
-                    if not monomials and nonzero(res.spoly):
+                    sp, gp = spoly2(f, g, w)
+                    if not monomials and nonzero(sp):
                         failures.append(("S2", i, j, w))
-                    if res.gpoly is not None and nonzero(res.gpoly):
+                    if gp is not None and nonzero(gp):
                         failures.append(("G2", i, j, w))
     return failures
 

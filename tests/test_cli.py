@@ -209,6 +209,49 @@ def test_parse_job_rejects_a_power_past_the_bound_before_building_it(ideal, msg)
     assert time.monotonic() - t0 < 1
 
 
+_SUMS = "*".join(["(x + y)"] * 30)
+# 30 nested commutators with x + y: 2^31 - 2 terms if built
+_NEST = "[" * 30 + "x" + ", x + y]" * 30
+
+
+@pytest.mark.parametrize(
+    "ring, ideal, msg",
+    [
+        ("Z", "3^2000000000*x", "line 2 col 9: number too long (a power of over 4300 digits)"),
+        ("Q", "x - 7^6000", "line 2 col 13: number too long (a power of over 4300 digits)"),
+        ("Z", "10^4300", "line 2 col 10: number too long (a power of over 4300 digits)"),
+        ("Z", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
+        ("Q", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
+        ("Zmod 7", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
+        # over a composite modulus the product is checked once built
+        ("Zmod 6", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
+        ("Z", _NEST, "line 2 col 34: bound too small for a commutator of length 4"),
+    ],
+)
+def test_parse_job_rejects_an_explosion_before_it_grows(ring, ideal, msg):
+    t0 = time.monotonic()
+    with pytest.raises(JobError) as exc:
+        parse_job(f"ring {ring} <x,y> deglex(x>y) bound 3;\nideal {ideal};")
+    assert str(exc.value) == msg
+    assert time.monotonic() - t0 < 1
+
+
+def test_parse_job_keeps_what_the_bound_admits():
+    # a constant power within the digit limit, and one over Z/m, where it
+    # is reduced as it is built
+    job = parse_job("ring Z <x> deglex(x) bound 1;\nideal 10^4299*x, (-1)^2000000000*x;")
+    assert len(str(job.generators[0].leading_coeff())) == 4300
+    assert job.ring.render(job.generators[1]) == "x"
+    job = parse_job("ring Zmod 7 <x> deglex(x) bound 1;\nideal 3^2000000000*x;")
+    assert job.ring.render(job.generators[0]) == "2*x"
+    # zero divisors cancel the product's words: 2*x * 3*x is 0 mod 6
+    job = parse_job("ring Zmod 6 <x> deglex(x) bound 1;\nideal (2*x)*(3*x) + x;")
+    assert [job.ring.render(g) for g in job.generators] == ["x"]
+    # a product with a zero factor, and a commutator that cancels
+    job = parse_job("ring Z <x,y> deglex(x>y) bound 2;\nideal x*y*0*x + y, [x*x, x*x] + x;")
+    assert [job.ring.render(g) for g in job.generators] == ["y", "x"]
+
+
 def test_parse_job_large_prime_modulus_is_a_field():
     job = parse_job("ring Zmod 2305843009213693951 <x> deglex(x) bound 3;\nideal 3*x - 1;")
     assert job.ring.domain.is_field
@@ -334,12 +377,26 @@ def test_cli_syntax_error_exits_1(tmp_path, capsys):
         "ring Zmod 12345678901234567890123457 <x> deglex(x) bound 3;\nideal x;",
         # a literal longer than int() converts
         "ring Z <x> deglex(x) bound 3;\nideal " + "7" * 5000 + "*x;",
+        # a letter is one byte of a word, so 255 variables at most
+        "ring Z <{0}> deglex({1}) bound 3;\nideal v0;".format(
+            ",".join(f"v{i}" for i in range(256)), ">".join(f"v{i}" for i in range(256))
+        ),
     ],
 )
 def test_cli_bad_modulus_and_deep_nesting_exit_1(tmp_path, capsys, jobtext):
     code, out, err = run_cli(tmp_path, capsys, jobtext)
     assert code == 1 and out == ""
     assert err.startswith("error: line ") and len(err.splitlines()) == 1
+
+
+def test_cli_equiv_file_is_parsed_under_the_bound(tmp_path, capsys):
+    target = tmp_path / "target.txt"
+    target.write_text("2*x, x^2000000000")
+    t0 = time.monotonic()
+    code, out, err = run_cli(tmp_path, capsys, INTRO, "--equiv", str(target))
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and out == ""
+    assert err == "error: line 1 col 8: bound too small for a power of length 2000000000\n"
 
 
 def test_cli_missing_file_exits_1(capsys):
