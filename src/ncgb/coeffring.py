@@ -18,6 +18,7 @@ representative; rationals are reduced with a positive denominator
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -299,7 +300,11 @@ class Domain:
         return lcm_coeff(a, b)  # type: ignore[arg-type]
 
     def render(self, a: Coefficient) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past str(int)'s digit limit, kept for parsing
+            num, den = (format(decimal.Decimal(n), "f") for n in (a.numerator, a.denominator))
+            return num if den == "1" else f"{num}/{den}"
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

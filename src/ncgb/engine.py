@@ -833,7 +833,8 @@ class _Engine:
             basis = self._snapshot()
             if self.reduce:
                 basis = interreduce(basis, tail_reduce=self.tail_reduce)
-        basis.sort(key=lambda p: (ring.word_key(p.leading_word()), ring.render(p)))
+        # leading words are unique here (one owner per word in lm_index)
+        basis.sort(key=lambda p: ring.word_key(p.leading_word()))
         flag = completeness_flag(basis, self.d)
         return GBResult(
             basis,
@@ -857,10 +858,11 @@ def buchberger(
 ) -> GBResult:
     """Strong two-sided Groebner basis of ``<gens>`` up to word length ``d``.
 
-    ``reduce`` controls the final minimisation (drop elements whose
-    leading term another element's leading term divides), ``tail_reduce``
-    the reduction of non-leading terms both during the run and at the
-    end.  ``test_mode`` records discarded pairs and cofactor quadruples
+    ``reduce`` runs the final :func:`interreduce`, which drops nothing:
+    each new element is lm-reduced by every active one and retires those
+    whose leading term it divides, so it only adds the final tail pass.
+    ``tail_reduce`` reduces non-leading terms during the run and in that
+    pass.  ``test_mode`` records discarded pairs and cofactor quadruples
     for the audit suites.
 
     Raises ``ValueError("bound too small")`` when ``d`` is below the
@@ -875,35 +877,38 @@ def buchberger(
 # postprocessing
 # ---------------------------------------------------------------------------
 
+def keep_minimal(ring: FreeAlgebra, items) -> list:
+    """The payloads of the items ``(word, norm, payload)`` that no other
+    item's leading term divides: the one rule for redundant elements.
+
+    Sorted stably by ``(len(word), word_key(word), norm)``, an item is
+    dropped when one kept before it has a word occurring in its word and
+    a norm dividing its norm (``|c|`` over Z, 1 over a field,
+    ``gcd(c, m)`` over Z/m, so that this is coefficient division).
+    """
+    key = ring.word_key
+    kept: list[tuple[Word, int]] = []
+    out = []
+    for w, n, payload in sorted(items, key=lambda it: (len(it[0]), key(it[0]), it[1])):
+        if not any(u in w and n % k == 0 for u, k in kept):
+            kept.append((w, n))
+            out.append(payload)
+    return out
+
+
 def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polynomial]:
     """Minimise and (optionally) tail-reduce a basis.
 
-    An element is dropped when another element's leading term divides
-    its leading term (word as subword, coefficient dividing); the
-    surviving leading terms are untouched, so the set keeps generating
-    the same leading-term module.
+    :func:`keep_minimal` drops the elements whose leading term another
+    element's divides, from raw leading terms: normalising by a unit,
+    done to the survivors only, keeps each word and norm.
     """
     if not basis:
         return []
     ring = basis[0].ring
-    dom = ring.domain
-    ordered = sorted(
-        (ring.normalize_leading(p) for p in basis if not p.is_zero),
-        key=lambda p: (
-            len(p.leading_word()),
-            ring.word_key(p.leading_word()),
-            dom.norm(p.leading_coeff()),
-        ),
-    )
-    kept: list[Polynomial] = []
-    for p in ordered:
-        wp, cp = p.leading_term()
-        if any(
-            q.leading_word() in wp and dom.divides(q.leading_coeff(), cp)
-            for q in kept
-        ):
-            continue
-        kept.append(p)
+    norm = ring.domain.norm
+    items = ((p.leading_word(), norm(p.leading_coeff()), p) for p in basis if not p.is_zero)
+    kept = [ring.normalize_leading(p) for p in keep_minimal(ring, items)]
     if tail_reduce:
         while True:
             changed = False

@@ -138,11 +138,6 @@ class Polynomial:
             raise ValueError("zero polynomial")
         return self.terms[0][1]
 
-    def leading_term(self) -> tuple[Word, Coefficient]:
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return self.terms[0]
-
     def max_word_length(self) -> int:
         return max((len(w) for w, _ in self.terms), default=0)
 
@@ -225,10 +220,6 @@ class FreeAlgebra:
     def _antikey_weighted(self, w: Word):
         wt = self._weights
         return -sum(map(wt.__getitem__, w)), -len(w), w.translate(self._anti_table)
-
-    def weighted_degree(self, w: Word) -> int:
-        wt = self._weights
-        return sum(map(wt.__getitem__, w))
 
     def compare_words(self, u: Word, v: Word) -> int:
         """-1, 0 or 1 as u is below, equal to or above v."""

@@ -25,10 +25,11 @@ that common-multiple pattern divides its leading term.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .coeffring import DomainKind, ext_gcd, residue_domain, squarefree_factors
-from .engine import FLAG_TRUNCATED, GBResult, Stats, buchberger, completeness_flag, interreduce
+from .engine import FLAG_TRUNCATED, GBResult, Stats, buchberger, completeness_flag, interreduce, keep_minimal
 from .freealg import FreeAlgebra, Polynomial
 from .overlap import placements
 
@@ -50,11 +51,6 @@ class ModulusPlan:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def primes(self) -> list[int]:
-        if self.is_leaf:
-            return [self.modulus]
-        return self.left.primes() + self.right.primes()
 
 
 def plan_modulus(m: int) -> ModulusPlan:
@@ -145,21 +141,22 @@ def _combine(
     sa = (s * a) % m
     nletters = len(ring_m.alphabet)
 
-    out: list[Polynomial] = []
-    seen: set = set()
+    def pair(g: Polynomial, h: Polynomial, T: bytes, pu: int, pv: int) -> Polynomial:
+        u, v = g.leading_word(), h.leading_word()
+        cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
+        fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)
+        fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
+        return ring_m.add(fg, fh)
 
-    def push(f: Polynomial) -> None:
-        if not f.is_zero and f.terms not in seen:
-            seen.add(f.terms)
-            out.append(f)
-
+    # every candidate as (leading word, norm of leading coefficient,
+    # recipe): only those that keep_minimal keeps are built
     lifted_a = [_transfer(ring_m, g) for g in g_left]
     lifted_b = [_transfer(ring_m, h) for h in g_right]
-    for g in lifted_a:
-        push(ring_m.scale(tb, g))
-    for h in lifted_b:
-        push(ring_m.scale(sa, h))
-
+    items = [
+        (f.leading_word(), math.gcd(c * int(f.leading_coeff()), m), (ring_m.scale, c, f))
+        for c, lifted in ((tb, lifted_a), (sa, lifted_b))
+        for f in lifted
+    ]
     for g, h in itertools.product(lifted_a, lifted_b):
         cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
         assert (cg * ch) % m, (
@@ -167,12 +164,13 @@ def _combine(
             "they are canonical divisors of a and b lifted below them, so "
             "their product is a nonzero proper divisor of m"
         )
+        # tb + sa == 1 (mod m): the leading coefficient is cg*ch
+        norm = math.gcd(cg * ch, m)
         u, v = g.leading_word(), h.leading_word()
         for T, pu, pv in _common_multiples(u, v, d, nletters):
-            fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)
-            fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
-            push(ring_m.add(fg, fh))
+            items.append((T, norm, (pair, g, h, T, pu, pv)))
 
+    out = [build(*args) for build, *args in keep_minimal(ring_m, items)]
     return interreduce(out, tail_reduce=tail_reduce)
 
 

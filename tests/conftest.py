@@ -4,7 +4,7 @@ import itertools
 
 from ncgb import Alphabet, FreeAlgebra, Ordering, normal_form
 from ncgb.cli import parse_poly_list
-from ncgb.coeffring import residue_domain
+from ncgb.coeffring import residue_domain, squarefree_factors
 
 
 def make_ring(domain, names, kind, ranked, weights=None):
@@ -126,9 +126,9 @@ def projection_coherent(ring_m, gens, basis, d):
     """Mod every prime factor of the modulus, the reduction of ``basis``
     and the directly computed prime-field basis must generate the same
     leading terms: each reduces the other to zero."""
-    from ncgb.modlift import _transfer, gb_mod_prime, plan_modulus
+    from ncgb.modlift import _transfer, gb_mod_prime
 
-    for p in plan_modulus(ring_m.domain.modulus).primes():
+    for p in squarefree_factors(ring_m.domain.modulus):
         ring_p = prime_ring(ring_m, p)
         direct = gb_mod_prime(ring_m, gens, d, p).basis
         lifted = [g for g in (_transfer(ring_p, b) for b in basis) if not g.is_zero]
@@ -196,10 +196,10 @@ def bounded_membership_oracle(ring_p, gens, pad=2):
 
 def crt_membership_oracle(ring_m, gens, pad=2):
     """Member mod a squarefree modulus iff member mod every prime factor."""
-    from ncgb.modlift import _transfer, plan_modulus
+    from ncgb.modlift import _transfer
 
     oracles = []
-    for p in plan_modulus(ring_m.domain.modulus).primes():
+    for p in squarefree_factors(ring_m.domain.modulus):
         ring_p = prime_ring(ring_m, p)
         gens_p = [_transfer(ring_p, g) for g in gens]
         oracles.append((ring_p, bounded_membership_oracle(ring_p, gens_p, pad)))
@@ -208,6 +208,45 @@ def crt_membership_oracle(ring_m, gens, pad=2):
         return all(oracle(_transfer(ring_p, f)) for ring_p, oracle in oracles)
 
     return member
+
+
+def combine_building_every_candidate(plan, g_left, g_right, ring_m, d, tail_reduce):
+    """The CRT combine step that builds every candidate, drops repeats by
+    their full terms and leaves the choice to :func:`ncgb.interreduce`.
+    Kept as an oracle for :func:`ncgb.modlift._combine`, which decides
+    from leading terms alone and builds only what it keeps."""
+    from ncgb.engine import interreduce
+    from ncgb.modlift import _common_multiples, _transfer
+
+    m = plan.modulus
+    a, b = plan.left.modulus, plan.right.modulus
+    s, t = plan.bezout_s, plan.bezout_t
+    tb = (t * b) % m
+    sa = (s * a) % m
+    nletters = len(ring_m.alphabet)
+
+    out = []
+    seen = set()
+
+    def push(f):
+        if not f.is_zero and f.terms not in seen:
+            seen.add(f.terms)
+            out.append(f)
+
+    lifted_a = [_transfer(ring_m, g) for g in g_left]
+    lifted_b = [_transfer(ring_m, h) for h in g_right]
+    for g in lifted_a:
+        push(ring_m.scale(tb, g))
+    for h in lifted_b:
+        push(ring_m.scale(sa, h))
+    for g, h in itertools.product(lifted_a, lifted_b):
+        cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
+        u, v = g.leading_word(), h.leading_word()
+        for T, pu, pv in _common_multiples(u, v, d, nletters):
+            fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)
+            fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
+            push(ring_m.add(fg, fh))
+    return interreduce(out, tail_reduce=tail_reduce)
 
 
 def random_polys(ring, rng, *, ngens, maxterms, maxlen, maxcoeff):

@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import re
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgb import ZZ, DEG_LEFT_LEX
+from ncgb import ZZ, DEG_LEFT_LEX, buchberger
 from ncgb.cli import _OPTION_NAMES, Job, JobError, main, parse_job, parse_poly_list
 from ncgb.coeffring import residue_domain
 
@@ -50,7 +51,7 @@ def test_parse_job_weighted_ring():
     )
     assert job.ring.alphabet.weights == (1, 1, 0)
     # weight-zero letters never outgrow weighted ones
-    assert job.ring.weighted_degree(job.ring.parse_word("q^7")) == 0
+    assert job.ring.word_key(job.ring.parse_word("q^7"))[0] == 0
 
 
 def test_parse_job_rank_order_differs_from_declaration():
@@ -346,6 +347,36 @@ def test_cli_rational_basis_prints_integrally(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines() == ["2*x - 3*y", "flag: conjecturally-complete"]
+
+
+BIG_COEFFICIENT = """\
+ring Z <x,y,z> deglex(x>y>z) bound 5;
+ideal -6*y^2 + x - 6, y^3 - 4*y + 6, 2*y*z*x + 3*z*x - y;
+option notailreduce;
+"""
+
+
+def _int_of(digits):
+    # int() refuses more than 4,300 digits too: read them in chunks
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cli_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
+    job = parse_job(BIG_COEFFICIENT)
+    basis = buchberger(job.ring, job.generators, job.bound, tail_reduce=False).basis
+    # the basis holds an integer of more than 4,300 digits (2^14285 > 10^4300)
+    assert max(abs(c).bit_length() for p in basis for _, c in p.terms) > 14285
+    want = [[abs(c) for w, c in p.terms if not (w and abs(c) == 1)] for p in basis]
+    for flags in ((), ("--output", "json")):
+        code, out, err = run_cli(tmp_path, capsys, BIG_COEFFICIENT, *flags)
+        assert code == 0 and err == ""
+        lines = json.loads(out)["basis"] if flags else out.splitlines()[:-1]
+        got = [[_int_of(n) for n in re.findall(r"(?<![\^\w])\d+", line)] for line in lines]
+        assert got == want
 
 
 def test_cli_prime_power_modulus_exits_2(tmp_path, capsys):

@@ -251,3 +251,14 @@ def test_coerce():
         ZZ.coerce(Fraction(1, 2))
     assert QQ.coerce(3) == Fraction(3)
     assert residue_domain(6).coerce(-1) == 5
+
+
+def test_render_past_the_digit_limit_of_str():
+    # str(int) refuses more than 4,300 digits; render must not
+    big = 10**5000
+    assert ZZ.render(big) == "1" + "0" * 5000
+    assert ZZ.render(1 - big) == "-" + "9" * 5000
+    assert QQ.render(Fraction(big + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert QQ.render(Fraction(-1, big)) == "-1/1" + "0" * 5000
+    assert QQ.render(Fraction(big)) == "1" + "0" * 5000
+    assert (ZZ.render(-12), QQ.render(Fraction(-3, 4)), QQ.render(Fraction(5))) == ("-12", "-3/4", "5")

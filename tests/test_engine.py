@@ -1,5 +1,7 @@
 """Reduction, criteria, and the bounded completion loop."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from ncgb import (
     ZZ,
     DEG_LEFT_LEX,
     DEG_RIGHT_LEX,
+    WEIGHTED_DEG_LEFT_LEX,
     buchberger,
     coeff_criterion,
     completeness_flag,
@@ -23,7 +26,7 @@ from ncgb.cli import parse_job
 from ncgb.coeffring import residue_domain
 from ncgb.engine import _PairMeta, _ReducerSet
 
-from conftest import make_ring, poly, polys, verify_by_lm_reduction
+from conftest import make_ring, poly, polys, random_polys, verify_by_lm_reduction
 
 
 R = make_ring(ZZ, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
@@ -265,7 +268,27 @@ def test_result_reduced_by_default():
     # no element's leading term divides another's
     for i, f in enumerate(res.basis):
         others = [g for j, g in enumerate(res.basis) if j != i]
-        assert normal_form(f, others).leading_term() == f.leading_term()
+        assert normal_form(f, others).terms[0] == f.terms[0]
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, residue_domain(7)], ids=["Z", "Q", "Z/7"])
+def test_reduce_drops_nothing_from_the_engine_basis(domain):
+    # _insert lm-reduces each new element against all active ones and
+    # retires those whose leading term it divides, so the final
+    # interreduction only adds its tail pass; without one, reduce is a no-op
+    rings = [
+        make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"]),
+        make_ring(domain, "xyq", WEIGHTED_DEG_LEFT_LEX, ["x", "y", "q"], weights=(1, 1, 0)),
+    ]
+    rng = random.Random(20261018)
+    for ring in rings:
+        for _ in range(40):
+            gens = random_polys(ring, rng, ngens=2, maxterms=3, maxlen=2, maxcoeff=6)
+            if not gens:
+                continue
+            on = buchberger(ring, gens, 5, reduce=True, tail_reduce=False)
+            off = buchberger(ring, gens, 5, reduce=False, tail_reduce=False)
+            assert [p.terms for p in on.basis] == [p.terms for p in off.basis]
 
 
 def test_interreduce_drops_covered_heads():

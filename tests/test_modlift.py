@@ -15,6 +15,7 @@ from ncgb.modlift import (
 )
 
 from conftest import (
+    combine_building_every_candidate,
     crt_membership_oracle,
     make_ring,
     polys,
@@ -33,21 +34,22 @@ def test_plan_modulus_six():
     assert (plan.left.modulus, plan.right.modulus) == (2, 3)
     assert (plan.bezout_s, plan.bezout_t) == (-1, 1)
     assert plan.bezout_s * 2 + plan.bezout_t * 3 == 1
-    assert plan.primes() == [2, 3]
+    assert plan.left.is_leaf and plan.right.is_leaf
 
 
 def test_plan_modulus_thirty_is_balanced():
     plan = plan_modulus(30)
-    assert plan.primes() == [2, 3, 5]
     assert plan.left.modulus == 2 and plan.left.is_leaf
     node = plan.right
     assert node.modulus == 15
+    assert (node.left.modulus, node.right.modulus) == (3, 5)
+    assert node.left.is_leaf and node.right.is_leaf
     assert node.bezout_s * 3 + node.bezout_t * 5 == 1
 
 
 def test_plan_modulus_prime_is_leaf():
     plan = plan_modulus(7)
-    assert plan.is_leaf and plan.primes() == [7]
+    assert plan.is_leaf and plan.modulus == 7
 
 
 def test_plan_modulus_rejects_bad_moduli():
@@ -183,3 +185,49 @@ def test_random_composite_ideals_verify_and_cohere():
             assert projection_coherent(rm, gens, res.basis, 4)
             member = crt_membership_oracle(rm, gens, pad=2)
             assert all(member(b) for b in res.basis)
+
+
+def _both_combines(monkeypatch, ring, gens, d, tail_reduce):
+    """``gb_zmod``'s term tuples with the leading-term combine and with
+    the build-everything oracle."""
+    from ncgb import modlift
+
+    def terms():
+        res = gb_zmod(ring, gens, d, tail_reduce=tail_reduce)
+        return [p.terms for p in res.basis], res.complete_flag
+
+    got = terms()
+    with monkeypatch.context() as mp:
+        mp.setattr(modlift, "_combine", combine_building_every_candidate)
+        want = terms()
+    return got, want
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_combine_matches_building_every_candidate_on_torsion(monkeypatch, d):
+    r = make_ring(residue_domain(2310), "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    gens = polys(r, "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x")
+    for tail_reduce in (True, False):
+        got, want = _both_combines(monkeypatch, r, gens, d, tail_reduce)
+        assert got == want
+
+
+def test_combine_matches_building_every_candidate_on_random_ideals(monkeypatch):
+    # binomials without constant terms, so that most draws keep torsion
+    # and non-unit leading coefficients instead of collapsing to the unit
+    for m in (6, 30, 210):
+        for kind in (DEG_LEFT_LEX, DEG_RIGHT_LEX):
+            rm = make_ring(residue_domain(m), "xyz", kind, ["x", "y", "z"])
+            rng = random.Random(20261018 + m)
+            for _ in range(8):
+                gens = [
+                    rm.poly(
+                        (bytes(rng.randrange(3) for _ in range(rng.randint(1, 2))), rng.randrange(1, m))
+                        for _ in range(2)
+                    )
+                    for _ in range(3)
+                ]
+                gens = [g for g in gens if not g.is_zero]
+                for tail_reduce in (True, False):
+                    got, want = _both_combines(monkeypatch, rm, gens, 5, tail_reduce)
+                    assert got == want, (m, kind, [rm.render(g) for g in gens])
