@@ -440,6 +440,9 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
     ring = job.ring
     opts = job.options
     complete = gb_zmod if ring.domain.kind == DomainKind.RESIDUE else buchberger
+    if monomials is not None and not 0 <= monomials <= job.bound:
+        print(f"error: --monomials must lie in 0..{job.bound}, the bound", file=sys.stderr)
+        return 1
     try:
         result = complete(
             ring, job.generators, job.bound,
@@ -505,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
                     dest="tail_reduce",
                     help="force tail reduction on (overrides job options)")
     ap.add_argument("--monomials", type=int, metavar="N", default=None,
-                    help="also print the normal words up to length N")
+                    help="also print the normal words up to length N (0..bound)")
     ap.add_argument("--equiv", metavar="FILE", default=None,
                     help="compare against the comma-separated polynomials in FILE")
     ap.add_argument("--output", choices=("text", "json"), default="text")

@@ -199,13 +199,9 @@ class Domain:
     # -- divisibility and reduction ----------------------------------------
 
     def divides(self, a: Coefficient, b: Coefficient) -> bool:
-        """Does ``a`` divide ``b`` in this domain?  ``a`` must be nonzero."""
-        if self.kind == DomainKind.INTEGERS:
-            return b % a == 0
-        if self.kind == DomainKind.RATIONALS:
-            return True
-        g = math.gcd(int(a), self.modulus)  # type: ignore[arg-type]
-        return int(b) % g == 0
+        """Does ``a`` divide ``b`` in this domain?  ``a`` must be nonzero.
+        Divisibility is divisibility of norms (see :meth:`norm`)."""
+        return self.norm(b) % self.norm(a) == 0
 
     def divisor(self, c: Coefficient):
         """Nonzero ``c`` in the form :attr:`step` divides by: ``c`` itself
@@ -276,12 +272,9 @@ class Domain:
         return (u0 + mp * k) % self.modulus  # type: ignore[operator]
 
     def coprime(self, a: Coefficient, b: Coefficient) -> bool:
-        """Unit gcd test (used by the product criterion)."""
-        if self.kind == DomainKind.INTEGERS:
-            return math.gcd(a, b) == 1
-        if self.kind == DomainKind.RATIONALS:
-            return True
-        return math.gcd(int(a), int(b), self.modulus) == 1  # type: ignore[arg-type]
+        """Unit gcd test for nonzero ``a`` and ``b`` (used by the product
+        criterion): coprime norms."""
+        return math.gcd(self.norm(a), self.norm(b)) == 1
 
     # -- Bezout data (gcd domains) -------------------------------------------
 

@@ -439,16 +439,20 @@ def _first_type(u: Word, v: Word) -> list[tuple[Word, int, int]]:
 # ---------------------------------------------------------------------------
 
 class _PairMeta:
-    """The product criterion for the second-type pairs of ordered
-    ``(f, g)``, with its w-independent parts computed once."""
+    """Everything the engine knows about ordered ``(f, g)``: the product
+    criterion's w-independent parts, ``g_needed`` (its G-pairs survive
+    :func:`coeff_criterion`), the ``lcm`` and ``gcd`` of the leading
+    coefficients, and ``last``, the ``(level, w)`` of its last dequeued
+    second-type S-pair or None (see :meth:`_Engine._premise_ok`)."""
 
-    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg")
+    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "lcm", "gcd", "last")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
         lmf, lmg = f.leading_word(), g.leading_word()
+        cf, cg = f.leading_coeff(), g.leading_coeff()
         self.lmf, self.lmg = lmf, lmg
-        cond1 = dom.coprime(f.leading_coeff(), g.leading_coeff())
+        cond1 = dom.coprime(cf, cg)
         cond2 = not lmf or not lmg or not overlaps(lmf, lmg)
         self.coprime_no_overlap = cond1 and cond2
         self.constraints: list[tuple[Word, Word]] = []
@@ -457,6 +461,10 @@ class _PairMeta:
                 for v, _ in g.terms[1:]:
                     if len(u) + len(lmg) == len(lmf) + len(v):
                         self.constraints.append((u, v))
+        self.g_needed = not coeff_criterion(f, g)
+        self.lcm = dom.lcm(cf, cg)
+        self.gcd = dom.ext_gcd(cf, cg)[0]
+        self.last: tuple[int, Word] | None = None
 
     def holds(self, w: Word) -> bool:
         """Does the criterion discard the pair at connecting word ``w``?"""
@@ -501,7 +509,6 @@ class _Engine:
         self.buckets: dict[int, list[tuple[int, int]]] = {}
         self.level_done = 0
         self.processed: set[tuple] = set()
-        self.coeff_ok: dict[tuple[int, int], bool] = {}
         self.meta: dict[tuple[int, int], _PairMeta] = {}
         self.unit = False
 
@@ -527,14 +534,6 @@ class _Engine:
             af, ag = s_cofactors(dom, cf, cg)
             bf, bg, _ = g_cofactors(dom, cf, cg)
             self.cofactor_log.append((af, ag, bf, bg))
-
-    def _coeff_ok(self, i: int, j: int) -> bool:
-        k = (i, j) if i <= j else (j, i)
-        hit = self.coeff_ok.get(k)
-        if hit is None:
-            hit = coeff_criterion(self.polys[k[0]], self.polys[k[1]])
-            self.coeff_ok[k] = hit
-        return hit
 
     def _meta(self, a: int, b: int) -> _PairMeta:
         m = self.meta.get((a, b))
@@ -568,10 +567,10 @@ class _Engine:
                 self._push(w, S1, k, n, pl)
                 if not self.field_mode:
                     self.stats.pairs_created += 1
-                    if self._coeff_ok(k, n):
-                        self.stats.pairs_discarded_coeff += 1
-                    else:
+                    if self._meta(k, n).g_needed:
                         self._push(w, G1, k, n, pl)
+                    else:
+                        self.stats.pairs_discarded_coeff += 1
             # second type, both orientations, integers only
             if not self.field_mode:
                 base = len(lmk) + len(lmn)
@@ -588,13 +587,10 @@ class _Engine:
         f, g = self.polys[a], self.polys[b]
         if f is None or g is None:
             return
-        lma, lmb = f.leading_word(), g.leading_word()
-        base = len(lma) + len(lmb)
-        k = lvl - base
+        meta = self._meta(a, b)
+        k = lvl - len(meta.lmf) - len(meta.lmg)
         nletters = len(self.ring.alphabet)
         count = nletters**k
-        meta = self._meta(a, b)
-        g_needed = not self._coeff_ok(a, b)
 
         if meta.coprime_no_overlap and not meta.constraints:
             # the product criterion holds for every connecting word at
@@ -614,7 +610,7 @@ class _Engine:
                     continue
                 self._push(lvl, S2, a, b, w)
 
-        if g_needed:
+        if meta.g_needed:
             for letters in itertools.product(range(nletters), repeat=k):
                 w = bytes(letters)
                 self.stats.pairs_created += 1
@@ -626,20 +622,27 @@ class _Engine:
     # -- chain criterion ----------------------------------------------------
 
     def _product_ok(self, a: int, b: int, w: Word) -> bool:
-        """The product criterion holds for the second-type pair of
-        ordered ``(a, b)`` at connecting word ``w``: coprime leading
-        coefficients, no first-type common multiples, and no collision
-        between a tail of one factor and the shifted leading word of
-        the other."""
+        """:meth:`_PairMeta.holds` for the second-type pair of ordered
+        ``(a, b)`` at connecting word ``w``."""
         return self._meta(a, b).holds(w)
 
     def _premise_ok(self, a: int, pa: int, la: int, b: int, pb: int, lb: int, t: Word) -> bool:
         """Was the sub-pair spanned by the occurrences ``a@pa`` and
         ``b@pb`` inside ``t`` already handled?  Intersecting occurrences
-        name a first-type S-pair; disjoint ones a second-type pair,
-        which over a field always has a strong representation and over
-        a ring may be covered by the product criterion instead of
-        having been processed individually."""
+        name a first-type S-pair, handled once its key is in
+        ``processed``.  Disjoint ones name the second-type pair
+        ``(first, second, gap)`` of level ``span``: always handled over a
+        field; over a ring, handled once dequeued or when the product
+        criterion covers it.
+
+        It was dequeued exactly when ``(span, gap) <= last``, the cursor
+        of ``(first, second)``.  A family is pushed in ``(level, w)``
+        order (levels up to ``level_done`` at registration, later ones
+        from their buckets in level order, words in ``itertools.product``
+        order, which is bytes order within one length) and the heap pops
+        by level, then in push order.  The words never pushed are those
+        the product criterion dropped, and for them the fallback holds
+        either way."""
         if pa < pb + lb and pb < pa + la:
             lo = min(pa, pb)
             hi = max(pa + la, pb + lb)
@@ -648,10 +651,11 @@ class _Engine:
         if self.field_mode:
             return True
         if pa < pb:
-            first, second, gap = a, b, t[pa + la:pb]
+            first, second, gap, span = a, b, t[pa + la:pb], pb + lb - pa
         else:
-            first, second, gap = b, a, t[pb + lb:pa]
-        if (S2, first, second, gap) in self.processed:
+            first, second, gap, span = b, a, t[pb + lb:pa], pa + la - pb
+        last = self._meta(first, second).last
+        if last is not None and (span, gap) <= last:
             return True
         return self._product_ok(first, second, gap)
 
@@ -662,16 +666,13 @@ class _Engine:
         (S-kinds) or gcd (G-kinds), and both premise sub-pairs were
         already handled, so the pair's S/G-polynomial telescopes into
         combinations that are known to have strong representations."""
-        g, h = self.polys[i], self.polys[j]
-        dom = self.ring.domain
-        if kind in (G1, G2):
-            need = dom.ext_gcd(g.leading_coeff(), h.leading_coeff())[0]
-        elif not self.field_mode:
-            need = dom.lcm(g.leading_coeff(), h.leading_coeff())
-        else:
+        if self.field_mode:
             need = None
-        li = len(g.leading_word())
-        lj = len(h.leading_word())
+        else:
+            meta = self._meta(i, j)
+            need = meta.gcd if kind in (G1, G2) else meta.lcm
+        li = len(self.polys[i].leading_word())
+        lj = len(self.polys[j].leading_word())
         for k in self.active:
             fk = self.polys[k]
             if need is not None and need % fk.leading_coeff() != 0:
@@ -798,7 +799,7 @@ class _Engine:
         if kind == S1:
             self.processed.add(self._s_key(i, pi, j, pj, t))
         elif kind == S2:
-            self.processed.add((S2, i, j, data))
+            self._meta(i, j).last = (len(t), data)
 
     # -- main loop ------------------------------------------------------------
 
@@ -954,9 +955,8 @@ def monomial_basis(G: list[Polynomial], d: int, ring: FreeAlgebra | None = None)
     if b"" in lms:
         return []
     n = len(ring.alphabet)
-    out: list[Word] = []
     layer = [b""]
-    out.extend(layer)
+    out: list[Word] = [b""]
     for _ in range(d):
         nxt = []
         for w in layer:

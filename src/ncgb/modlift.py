@@ -219,7 +219,10 @@ def gb_zmod(
         return _combine(node, rec(node.left), rec(node.right), ring_node, d, tail_reduce)
 
     basis = [_transfer(ring, p) for p in rec(plan)]
-    basis.sort(key=lambda p: (ring.word_key(p.leading_word()), ring.render(p)))
+    # no tie to break: two elements sharing T, neither norm dividing the
+    # other, would put gcd*T in the ideal (Bezout), an element of this strong
+    # basis would divide it, and keep_minimal would have dropped one of them
+    basis.sort(key=lambda p: ring.word_key(p.leading_word()))
     if any(f == FLAG_TRUNCATED for f in leaf_flags):
         flag = FLAG_TRUNCATED
     else:

@@ -5,6 +5,7 @@ import itertools
 from ncgb import Alphabet, FreeAlgebra, Ordering, normal_form
 from ncgb.cli import parse_poly_list
 from ncgb.coeffring import residue_domain, squarefree_factors
+from ncgb.engine import S2, _Engine
 
 
 def make_ring(domain, names, kind, ranked, weights=None):
@@ -264,3 +265,35 @@ def random_polys(ring, rng, *, ngens, maxterms, maxlen, maxcoeff):
         if not p.is_zero:
             out.append(p)
     return out
+
+
+
+class SetKeyedEngine(_Engine):
+    """The engine, also keeping the set of dequeued second-type S-pair
+    keys ``(i, j, w)`` that it held before its family cursor, and
+    asserting at every disjoint premise of the chain criterion that the
+    cursor's verdict is the set's: dequeued or covered by the product
+    criterion.  ``checks`` counts the premises compared.  Kept as an
+    oracle for :meth:`ncgb.engine._Engine._premise_ok`."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.s2_keys = set()
+        self.checks = 0
+
+    def _process(self, kind, i, j, data):
+        live = kind == S2 and self.polys[i] is not None and self.polys[j] is not None
+        super()._process(kind, i, j, data)
+        if live:
+            self.s2_keys.add((i, j, data))
+
+    def _premise_ok(self, a, pa, la, b, pb, lb, t):
+        ok = super()._premise_ok(a, pa, la, b, pb, lb, t)
+        if not (pa < pb + lb and pb < pa + la) and not self.field_mode:
+            if pa < pb:
+                key = (a, b, t[pa + la:pb])
+            else:
+                key = (b, a, t[pb + lb:pa])
+            assert ok == (key in self.s2_keys or self._product_ok(*key)), key
+            self.checks += 1
+        return ok

@@ -36,6 +36,7 @@ from ncgb.modlift import gb_zmod
 from ncgb.overlap import spoly1, spoly2
 
 from conftest import (
+    SetKeyedEngine,
     discarded_pair_polys,
     make_ring,
     poly,
@@ -436,6 +437,54 @@ def test_completion_invariants_on_examples_and_random_ideals():
     _elapsed_under(600, t0)
 
 
+# the examples run with tail reduction off; every other one runs with it on
+_TAIL_OFF = {"twin_plus", "twin_minus"}
+
+
+def test_family_cursor_answers_as_the_dequeued_key_set():
+    """At every disjoint premise of the chain criterion the family cursor
+    gives the verdict of the set of dequeued second-type keys, on the
+    acceptance examples and on random ideals over Z in two orderings;
+    the runs equal the plain engine's, and ``processed`` holds only
+    first-type keys."""
+    t0 = time.monotonic()
+    checks = 0
+
+    def run(ring, gens, bound, tail):
+        oracle = SetKeyedEngine(ring, bound, True, tail, True)
+        res = oracle.run(gens)
+        assert all(key[0] == "S" for key in oracle.processed)
+        return oracle.checks, res
+
+    for label, build in EXAMPLES:
+        ring, gens, res, bound, _ = build()
+        n, got = run(ring, gens, bound, label not in _TAIL_OFF)
+        assert got.stats == res.stats, label
+        assert [g.terms for g in got.basis] == [g.terms for g in res.basis], label
+        checks += n
+    on_examples = checks
+    assert on_examples > 0
+
+    rng = random.Random(20261018)
+    for i in range(80):
+        nletters = rng.randint(1, 3)
+        names = "abc"[:nletters]
+        kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+        ring = make_ring(ZZ, names, kind, list(names))
+        gens = random_polys(ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6)
+        if not gens:
+            continue
+        bound = rng.randint(3, 7)
+        n, got = run(ring, gens, bound, i % 4 < 2)
+        plain = buchberger(ring, gens, bound, tail_reduce=i % 4 < 2, test_mode=True)
+        assert got.stats == plain.stats, i
+        assert [g.terms for g in got.basis] == [g.terms for g in plain.basis], i
+        assert len(got.discard_log) == len(plain.discard_log), i
+        checks += n
+    assert checks > on_examples
+    _elapsed_under(120, t0)
+
+
 def test_composite_modulus_runs_cohere_and_capture_membership():
     t0 = time.monotonic()
     for m in (6, 10, 15):
@@ -456,29 +505,33 @@ def test_composite_modulus_runs_cohere_and_capture_membership():
             # exhaustive membership: every combination that places one
             # bimonomial of total length <= 2 on each generator, with the
             # coefficient running over the whole residue range, reduces
-            # to zero against the combined basis
+            # to zero against the combined basis (each placed bimonomial
+            # and the prepared reducers are built once per basis)
             words = [
                 bytes(w)
                 for k in range(3)
                 for w in itertools.product(range(nletters), repeat=k)
             ]
             pads = [(l, r) for l in words for r in words if len(l) + len(r) <= 2]
+            reducers = _ReducerSet(ring, res.basis)
             per_gen = [
-                [None] + [(c, l, r) for (l, r) in pads for c in range(1, m)]
-                for _ in gens
+                [None]
+                + [
+                    ring.scaled_translate(ring.domain.coerce(c), l, r, g)
+                    for (l, r) in pads
+                    for c in range(1, m)
+                ]
+                for g in gens
             ]
             for combo in itertools.product(*per_gen):
-                if all(term is None for term in combo):
+                placed = [q for q in combo if q is not None]
+                if not placed:
                     continue
-                s = ring.zero
-                for term, g in zip(combo, gens):
-                    if term is not None:
-                        c, l, r = term
-                        s = ring.add(
-                            s, ring.scaled_translate(ring.domain.coerce(c), l, r, g)
-                        )
+                s = placed[0]
+                for q in placed[1:]:
+                    s = ring.add(s, q)
                 if not s.is_zero:
-                    nf = normal_form(s, res.basis, tail_reduce=False)
+                    nf = normal_form(s, reducers, tail_reduce=False)
                     assert nf.is_zero, (m, i, ring.render(s), ring.render(nf))
 
     ring4 = make_ring(residue_domain(4), "x", DEG_LEFT_LEX, ["x"])

@@ -325,6 +325,25 @@ def test_cli_monomials_and_stats(tmp_path, capsys):
     assert any(line.startswith("pairs_created=") for line in lines)
 
 
+@pytest.mark.parametrize("n", ["-1", "6", "12"])
+def test_cli_rejects_monomials_outside_the_bound(tmp_path, capsys, n):
+    # N past the bound would list words the basis does not certify, at a
+    # cost that triples with each step; it is refused before the run
+    job = "ring Z <x,y,z> deglex(x>y>z) bound 5;\nideal x*y*z - y;"
+    t0 = time.monotonic()
+    code, out, err = run_cli(tmp_path, capsys, job, "--monomials", n)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == "error: --monomials must lie in 0..5, the bound\n"
+
+
+@pytest.mark.parametrize("n, words", [("0", "1"), ("1", "1 z y")])
+def test_cli_monomials_at_the_ends_of_the_range(tmp_path, capsys, n, words):
+    code, out, err = run_cli(tmp_path, capsys, "ring Z <x,y,z> deglex(x>y>z) bound 1;\nideal 2*x;", "--monomials", n)
+    assert code == 0 and err == ""
+    assert "monomials: " + words in out.splitlines()
+
+
 def test_cli_equiv_verdicts(tmp_path, capsys):
     target = tmp_path / "target.txt"
     target.write_text("3*y, 2*x, x*y, y*x;")

@@ -262,3 +262,32 @@ def test_render_past_the_digit_limit_of_str():
     assert QQ.render(Fraction(-1, big)) == "-1/1" + "0" * 5000
     assert QQ.render(Fraction(big)) == "1" + "0" * 5000
     assert (ZZ.render(-12), QQ.render(Fraction(-3, 4)), QQ.render(Fraction(5))) == ("-12", "-3/4", "5")
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, residue_domain(7), residue_domain(30)], ids=str)
+def test_divides_and_coprime_agree_with_plain_divisibility(dom):
+    # divisibility and coprimality through norms, against their plain
+    # meaning: b == q*a for some q, and x*a + y*b == 1 for some x, y
+    # (over Q the witnesses are q = b/a and x = 1/a, y = 0)
+    mod = dom.modulus
+    if dom.kind == DomainKind.RATIONALS:
+        values = [Fraction(n, k) for n in range(-6, 7) for k in (1, 2, 3)]
+    else:
+        values = range(-12, 13) if mod is None else range(mod)
+    cands = range(-13, 14) if mod is None else range(mod)
+
+    def eq(x, y):
+        return (x - y) % mod == 0 if mod else x == y
+
+    for a in values:
+        if not a:
+            continue
+        for b in values:
+            qs = [b / a] if dom.kind == DomainKind.RATIONALS else cands
+            assert dom.divides(a, b) == any(eq(q * a, b) for q in qs), (a, b)
+            if b:
+                xys = [(1 / a, 0)] if dom.kind == DomainKind.RATIONALS else [
+                    (x, y) for x in cands for y in cands
+                ]
+                plain = any(eq(x * a + y * b, 1) for x, y in xys)
+                assert dom.coprime(a, b) == plain, (a, b)

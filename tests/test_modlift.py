@@ -231,3 +231,31 @@ def test_combine_matches_building_every_candidate_on_random_ideals(monkeypatch):
                 for tail_reduce in (True, False):
                     got, want = _both_combines(monkeypatch, rm, gens, 5, tail_reduce)
                     assert got == want, (m, kind, [rm.render(g) for g in gens])
+
+
+def test_composite_bases_have_unique_leading_words():
+    # gb_zmod sorts by leading word alone: two elements sharing one, with
+    # neither norm dividing the other, would leave their Bezout
+    # combination's leading term without a divisor in a strong basis
+    torsion = 0
+    for m in (6, 10, 30, 210, 2310):
+        for kind in (DEG_LEFT_LEX, DEG_RIGHT_LEX):
+            rm = make_ring(residue_domain(m), "xyz", kind, ["x", "y", "z"])
+            rng = random.Random(20261019 + m)
+            for _ in range(10):
+                gens = [
+                    rm.poly(
+                        (bytes(rng.randrange(3) for _ in range(rng.randint(1, 2))), rng.randrange(1, m))
+                        for _ in range(2)
+                    )
+                    for _ in range(rng.randint(2, 3))
+                ]
+                gens = [g for g in gens if not g.is_zero]
+                for tail_reduce in (True, False):
+                    basis = gb_zmod(rm, gens, 5, tail_reduce=tail_reduce).basis
+                    words = [g.leading_word() for g in basis]
+                    assert len(set(words)) == len(words), (m, kind, [rm.render(g) for g in gens])
+                    norms = [rm.domain.norm(g.leading_coeff()) for g in basis]
+                    torsion += len(set(norms) - {1}) >= 2
+    # the check is not vacuous: many bases hold several non-unit norms
+    assert torsion >= 50
