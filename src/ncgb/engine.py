@@ -10,7 +10,12 @@ machinery needed when the coefficients form a ring rather than a field:
   of the two leading words, and *second type*, indexed by a connecting
   word ``w`` placed between the disjoint leading words.  Second-type
   pairs form an infinite family, so they are materialised lazily by
-  increasing total length and cut off at the bound ``d``;
+  increasing total length and cut off at the bound ``d``.  One queue
+  entry stands for a range of connecting words of one family and level;
+  the product criterion is counted in closed form
+  (:meth:`_PairMeta.exceptions`), and whole subtrees of words that a
+  chain lemma discards are counted without being queued one by one
+  (:meth:`_Engine._walk`);
 * reduction divides leading coefficients with remainder (nearest
   quotient), so a reduction step may shrink a coefficient without
   clearing the word.
@@ -47,7 +52,13 @@ S1, G1, S2, G2 = "S1", "G1", "S2", "G2"
 
 @dataclass(slots=True)
 class Stats:
-    """Observability counters for one completion run."""
+    """Observability counters for one completion run.
+
+    Every counter counts single pairs, also where the engine handles a
+    range of second-type pairs at once.  ``peak_queue_size`` is the
+    largest number of queued pairs, a range counting one per word, which
+    is what a queue holding one entry per pair would reach.
+    """
 
     pairs_created: int = 0
     pairs_discarded_product: int = 0
@@ -476,6 +487,47 @@ class _PairMeta:
                 return False
         return True
 
+    def exceptions(self, k: int) -> list[Word]:
+        """The connecting words of length ``k`` where :meth:`holds` is
+        False, in bytes order, for a ``coprime_no_overlap`` pair.
+
+        A constraint ``(u, v)`` fails at ``w`` when ``u·w·LM(g) ==
+        LM(f)·w·v``.  That needs ``u != LM(f)``, which holds for a tail
+        word, so ``|u| != |LM(f)|``.  Let ``p`` be the rest of the longer
+        of the two after the shorter.  If ``u == LM(f)·p`` then ``p·w·LM(g)
+        == w·v``; if ``LM(f) == u·p`` then ``w·LM(g) == p·w·v``.  Either
+        way ``w`` is a prefix of ``p·w``, so ``w[i] == p[i]`` below
+        ``|p|`` and ``w[i] == w[i-|p|]`` above: ``w`` is the first ``k``
+        letters of ``p`` repeated, the one candidate per constraint.
+        """
+        lmf, lmg = self.lmf, self.lmg
+        out = set()
+        for u, v in self.constraints:
+            if len(u) == len(lmf):
+                continue
+            p = u[len(lmf):] if len(u) > len(lmf) else lmf[len(u):]
+            w = (p * (k // len(p) + 1))[:k]
+            if u + w + lmg == lmf + w + v:
+                out.add(w)
+        return sorted(out)
+
+
+def _word(rank: int, k: int, n: int) -> Word:
+    """The connecting word of length ``k`` at ``rank`` in
+    ``itertools.product(range(n), repeat=k)`` order (bytes order)."""
+    out = bytearray(k)
+    for pos in range(k - 1, -1, -1):
+        rank, out[pos] = divmod(rank, n)
+    return bytes(out)
+
+
+def _rank(w: Word, n: int) -> int:
+    """The inverse of :func:`_word`."""
+    r = 0
+    for c in w:
+        r = r * n + c
+    return r
+
 
 class _Engine:
     def __init__(
@@ -502,10 +554,14 @@ class _Engine:
         self.lm_index: dict[Word, int] = {}
         # queued pairs (weight, seq, kind, i, j, data): the weight is the
         # length of the common word; data is the placement (t, pi, pj) of a
-        # first-type pair, the connecting word of a second-type one, and
-        # the raw polynomial of a re-enqueued element (kind "P", i = j = -1)
+        # first-type pair, the word ranks (r, r_end) of a range of
+        # second-type ones (see _walk), and the raw polynomial of a
+        # re-enqueued element (kind "P", i = j = -1).  A range reserves
+        # one sequence number per word, and queued counts pairs, a range
+        # one per word still in it.
         self.heap: list[tuple] = []
-        self.seq = itertools.count()
+        self.seq = 0
+        self.queued = 0
         self.buckets: dict[int, list[tuple[int, int]]] = {}
         self.level_done = 0
         self.processed: set[tuple] = set()
@@ -522,10 +578,12 @@ class _Engine:
     def _snapshot(self) -> list[Polynomial]:
         return [self.polys[k] for k in self.active]
 
-    def _push(self, weight: int, kind: str, i: int, j: int, data) -> None:
-        heapq.heappush(self.heap, (weight, next(self.seq), kind, i, j, data))
-        if len(self.heap) > self.stats.peak_queue_size:
-            self.stats.peak_queue_size = len(self.heap)
+    def _push(self, weight: int, kind: str, i: int, j: int, data, size: int = 1) -> None:
+        heapq.heappush(self.heap, (weight, self.seq, kind, i, j, data))
+        self.seq += size
+        self.queued += size
+        if self.queued > self.stats.peak_queue_size:
+            self.stats.peak_queue_size = self.queued
 
     def _log_cofactors(self, cf, cg) -> None:
         # gcd cofactors only make sense away from fields
@@ -583,7 +641,9 @@ class _Engine:
 
     def _materialize(self, a: int, b: int, lvl: int) -> None:
         """Create the second-type pairs of ordered ``(a, b)`` whose
-        common word ``LM(a)·w·LM(b)`` has length ``lvl``."""
+        common word ``LM(a)·w·LM(b)`` has length ``lvl``: the S-pairs
+        the product criterion keeps, then the G-pairs the coefficient
+        criterion keeps, each as word ranges in bytes order."""
         f, g = self.polys[a], self.polys[b]
         if f is None or g is None:
             return
@@ -591,32 +651,28 @@ class _Engine:
         k = lvl - len(meta.lmf) - len(meta.lmg)
         nletters = len(self.ring.alphabet)
         count = nletters**k
+        self.stats.pairs_created += 2 * count
 
-        if meta.coprime_no_overlap and not meta.constraints:
-            # the product criterion holds for every connecting word at
-            # this level: account for the whole family in bulk
-            self.stats.pairs_created += count
-            self.stats.pairs_discarded_product += count
-            if self.discard_log is not None:
-                self.discard_log.append(("S2-family", f, g, k))
+        if not meta.coprime_no_overlap:
+            self._push(lvl, S2, a, b, (0, count), count)
         else:
-            for letters in itertools.product(range(nletters), repeat=k):
-                w = bytes(letters)
-                self.stats.pairs_created += 1
-                if meta.holds(w):
-                    self.stats.pairs_discarded_product += 1
-                    if self.discard_log is not None:
-                        self.discard_log.append(("S2", f, g, w))
-                    continue
-                self._push(lvl, S2, a, b, w)
+            kept = meta.exceptions(k)
+            self.stats.pairs_discarded_product += count - len(kept)
+            if self.discard_log is not None:
+                if not meta.constraints:
+                    self.discard_log.append(("S2-family", f, g, k))
+                else:
+                    for letters in itertools.product(range(nletters), repeat=k):
+                        w = bytes(letters)
+                        if w not in kept:
+                            self.discard_log.append(("S2", f, g, w))
+            for w in kept:
+                r = _rank(w, nletters)
+                self._push(lvl, S2, a, b, (r, r + 1))
 
         if meta.g_needed:
-            for letters in itertools.product(range(nletters), repeat=k):
-                w = bytes(letters)
-                self.stats.pairs_created += 1
-                self._push(lvl, G2, a, b, w)
+            self._push(lvl, G2, a, b, (0, count), count)
         else:
-            self.stats.pairs_created += count
             self.stats.pairs_discarded_coeff += count
 
     # -- chain criterion ----------------------------------------------------
@@ -637,12 +693,16 @@ class _Engine:
 
         It was dequeued exactly when ``(span, gap) <= last``, the cursor
         of ``(first, second)``.  A family is pushed in ``(level, w)``
-        order (levels up to ``level_done`` at registration, later ones
-        from their buckets in level order, words in ``itertools.product``
-        order, which is bytes order within one length) and the heap pops
-        by level, then in push order.  The words never pushed are those
-        the product criterion dropped, and for them the fallback holds
-        either way."""
+        order: levels up to ``level_done`` at registration, later ones
+        from their buckets in level order, and within a level as ranges
+        of words in bytes order, each range reserving one sequence number
+        per word, in that order.  The heap pops by level, then by
+        sequence number, and :meth:`_walk` dequeues a range's words in
+        order, pushing back what is left under its next word's reserved
+        number; so the words are dequeued in the order of their numbers,
+        which is the family's ``(level, w)`` order.  The words never
+        pushed are those the product criterion dropped, and for them the
+        fallback holds either way."""
         if pa < pb + lb and pb < pa + la:
             lo = min(pa, pb)
             hi = max(pa + la, pb + lb)
@@ -718,6 +778,7 @@ class _Engine:
                 self.unit = True
                 self.heap.clear()
                 self.buckets.clear()
+                self.queued = 0
                 return
             e = self.lm_index.get(lm)
             if e is None:
@@ -801,6 +862,107 @@ class _Engine:
         elif kind == S2:
             self._meta(i, j).last = (len(t), data)
 
+    def _walk(self, lvl: int, seq: int, kind: str, a: int, b: int, r: int, r_end: int) -> None:
+        """Dequeue the second-type pairs of ordered ``(a, b)`` at the
+        words of ranks ``r .. r_end-1`` (length ``k``, bytes order), whose
+        entry had sequence number ``seq``.
+
+        *Lemma.*  Let ``t = LM(a)·w·LM(b)`` have length ``L``, and let
+        the nonempty leading word of an active ``c`` whose leading
+        coefficient divides the pair's ``need`` (the lcm for S2, the gcd
+        for G2) occur inside ``w`` and strictly inside ``t``: neither at
+        its start nor at its end.  Then :meth:`_chain_discard` discards
+        the pair.
+
+        *Proof.*  The occurrence lies apart from both defining ones, so
+        its premises are the second-type S-pairs ``(a, c)`` and ``(c,
+        b)``; as it is strictly inside ``t``, each spans less than ``L``.
+        ``a``, ``b`` and ``c`` are active now, and an index is never
+        reused, so each premise's family has had both elements active
+        since its registration.  Its level, below ``L``, was materialised
+        at registration (up to ``level_done``) or from its bucket, which
+        the main loop empties before anything heavier pops; the heap pops
+        by weight and holds nothing lighter than ``L`` while a pair of
+        weight ``L`` is dequeued (an insertion ends the walk below).  So
+        each premise was dequeued, and sits at or under its family's
+        cursor ``last`` (:meth:`_premise_ok`), or was never queued because
+        the product criterion dropped it; either way :meth:`_premise_ok`
+        accepts it.  The first condition needs ``w``'s occurrence to start
+        past ``t``'s start when ``LM(a)`` is empty, and to end before
+        ``t``'s end when ``LM(b)`` is empty; otherwise a premise spans
+        all of ``t`` and is not yet handled.
+
+        So when the shortest prefix ``w[:e]`` that ends such an occurrence
+        exists, every word with that prefix is discarded: the walk counts
+        that subtree of ``n**(k-e)`` words (from the cursor, up to
+        ``r_end``) through :meth:`_cut`, in bulk.  Every other word goes
+        through :meth:`_process`.  An insertion can queue lighter pairs
+        and retire elements, so after one the rest of the range is pushed
+        back under its next word's reserved number; the words are then
+        dequeued in the order and with the decisions of one queue entry
+        per word.  A range of a retired element is dropped.
+        """
+        if self.polys[a] is None or self.polys[b] is None:
+            self.queued -= r_end - r
+            return
+        meta = self._meta(a, b)
+        k = lvl - len(meta.lmf) - len(meta.lmg)
+        n = len(self.ring.alphabet)
+        need = meta.gcd if kind == G2 else meta.lcm
+        cuts = []
+        for c in self.active:
+            pc = self.polys[c]
+            lm = pc.leading_word()
+            if lm and need % pc.leading_coeff() == 0:
+                cuts.append(lm)
+        lo = 0 if meta.lmf else 1
+        hi = k if meta.lmg else k - 1
+        inserted = self.stats.basis_insertions
+        r0 = r
+        while r < r_end:
+            w = _word(r, k, n)
+            e = k + 1
+            for p in cuts:
+                pos = w.find(p, lo, hi)
+                if pos >= 0 and pos + len(p) < e:
+                    e = pos + len(p)
+            if e <= k:
+                size = n ** (k - e)
+                stop = min(r - r % size + size, r_end)
+                self._cut(lvl, kind, a, b, r, stop)
+                r = stop
+                continue
+            self.queued -= 1
+            r += 1
+            self._process(kind, a, b, w)
+            if self.unit:
+                return
+            if self.stats.basis_insertions != inserted:
+                if r < r_end:
+                    heapq.heappush(self.heap, (lvl, seq + r - r0, kind, a, b, (r, r_end)))
+                return
+
+    def _cut(self, lvl: int, kind: str, a: int, b: int, r: int, stop: int) -> None:
+        """Count the words of ranks ``r .. stop-1`` of a range as chain
+        discards, as :meth:`_process` would one by one (see :meth:`_walk`).
+        In test mode each is logged, and checked with
+        :meth:`_chain_discard`, so that the audit tests the lemma."""
+        meta = self._meta(a, b)
+        lmf, lmg = meta.lmf, meta.lmg
+        k = lvl - len(lmf) - len(lmg)
+        n = len(self.ring.alphabet)
+        self.queued -= stop - r
+        self.stats.pairs_discarded_chain += stop - r
+        if self.discard_log is not None:
+            f, g = self.polys[a], self.polys[b]
+            for x in range(r, stop):
+                w = _word(x, k, n)
+                if not self._chain_discard(kind, a, b, lmf + w + lmg, 0, len(lmf) + k):
+                    raise AssertionError(f"chain lemma fails at {(kind, a, b, w)}")
+                self.discard_log.append(("chain-" + kind, f, g, w))
+        if kind == S2:
+            meta.last = (lvl, _word(stop - 1, k, n))
+
     # -- main loop ------------------------------------------------------------
 
     def run(self, gens: list[Polynomial]) -> GBResult:
@@ -825,8 +987,12 @@ class _Engine:
                 continue
             if top is None:
                 break
-            _, _, kind, i, j, data = heapq.heappop(self.heap)
-            self._process(kind, i, j, data)
+            lvl, seq, kind, i, j, data = heapq.heappop(self.heap)
+            if kind in (S2, G2):
+                self._walk(lvl, seq, kind, i, j, *data)
+            else:
+                self.queued -= 1
+                self._process(kind, i, j, data)
 
         if self.unit:
             basis = [ring.one]

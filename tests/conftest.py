@@ -5,7 +5,7 @@ import itertools
 from ncgb import Alphabet, FreeAlgebra, Ordering, normal_form
 from ncgb.cli import parse_poly_list
 from ncgb.coeffring import residue_domain, squarefree_factors
-from ncgb.engine import S2, _Engine
+from ncgb.engine import G2, S2, _Engine, _word
 
 
 def make_ring(domain, names, kind, ranked, weights=None):
@@ -268,9 +268,61 @@ def random_polys(ring, rng, *, ngens, maxterms, maxlen, maxcoeff):
 
 
 
+class EagerEngine(_Engine):
+    """The engine with one queue entry per second-type pair: the product
+    criterion tested word by word with :meth:`_PairMeta.holds`, and every
+    queued word dequeued through ``_process`` and its chain criterion.
+    Kept as an oracle for the word ranges of
+    :meth:`ncgb.engine._Engine._walk`, their bulk chain cuts and the
+    closed-form product criterion (:meth:`_PairMeta.exceptions`)."""
+
+    def _materialize(self, a, b, lvl):
+        f, g = self.polys[a], self.polys[b]
+        if f is None or g is None:
+            return
+        meta = self._meta(a, b)
+        k = lvl - len(meta.lmf) - len(meta.lmg)
+        nletters = len(self.ring.alphabet)
+        count = nletters**k
+
+        if meta.coprime_no_overlap and not meta.constraints:
+            self.stats.pairs_created += count
+            self.stats.pairs_discarded_product += count
+            if self.discard_log is not None:
+                self.discard_log.append(("S2-family", f, g, k))
+        else:
+            for r, letters in enumerate(itertools.product(range(nletters), repeat=k)):
+                w = bytes(letters)
+                self.stats.pairs_created += 1
+                if meta.holds(w):
+                    self.stats.pairs_discarded_product += 1
+                    if self.discard_log is not None:
+                        self.discard_log.append(("S2", f, g, w))
+                    continue
+                self._push(lvl, S2, a, b, (r, r + 1))
+
+        if meta.g_needed:
+            for r in range(count):
+                self.stats.pairs_created += 1
+                self._push(lvl, G2, a, b, (r, r + 1))
+        else:
+            self.stats.pairs_created += count
+            self.stats.pairs_discarded_coeff += count
+
+    def _walk(self, lvl, seq, kind, a, b, r, r_end):
+        assert r_end == r + 1
+        self.queued -= 1
+        if self.polys[a] is None or self.polys[b] is None:
+            return
+        meta = self._meta(a, b)
+        k = lvl - len(meta.lmf) - len(meta.lmg)
+        self._process(kind, a, b, _word(r, k, len(self.ring.alphabet)))
+
+
 class SetKeyedEngine(_Engine):
     """The engine, also keeping the set of dequeued second-type S-pair
-    keys ``(i, j, w)`` that it held before its family cursor, and
+    keys ``(i, j, w)`` that it held before its family cursor (a word that
+    a range's bulk chain cut counts is dequeued), and
     asserting at every disjoint premise of the chain criterion that the
     cursor's verdict is the set's: dequeued or covered by the product
     criterion.  ``checks`` counts the premises compared.  Kept as an
@@ -286,6 +338,14 @@ class SetKeyedEngine(_Engine):
         super()._process(kind, i, j, data)
         if live:
             self.s2_keys.add((i, j, data))
+
+    def _cut(self, lvl, kind, a, b, r, stop):
+        super()._cut(lvl, kind, a, b, r, stop)
+        if kind == S2:
+            meta = self._meta(a, b)
+            k = lvl - len(meta.lmf) - len(meta.lmg)
+            n = len(self.ring.alphabet)
+            self.s2_keys.update((a, b, _word(x, k, n)) for x in range(r, stop))
 
     def _premise_ok(self, a, pa, la, b, pb, lb, t):
         ok = super()._premise_ok(a, pa, la, b, pb, lb, t)

@@ -36,6 +36,7 @@ from ncgb.modlift import gb_zmod
 from ncgb.overlap import spoly1, spoly2
 
 from conftest import (
+    EagerEngine,
     SetKeyedEngine,
     discarded_pair_polys,
     make_ring,
@@ -483,6 +484,68 @@ def test_family_cursor_answers_as_the_dequeued_key_set():
         checks += n
     assert checks > on_examples
     _elapsed_under(120, t0)
+
+
+def test_word_ranges_decide_as_one_queue_entry_per_pair():
+    """Second-type word ranges, with their bulk chain cuts and the
+    closed-form product criterion, give the run of one queue entry per
+    pair (``EagerEngine``): the same ``Stats``, bases, discard and
+    cofactor logs, on the acceptance examples and on random ideals over
+    Z in two orderings, some with a constant generator."""
+    t0 = time.monotonic()
+
+    def compare(label, ring, gens, bound, tail, lazy):
+        eager = EagerEngine(ring, bound, True, tail, True).run(gens)
+        assert lazy.stats == eager.stats, label
+        assert [g.terms for g in lazy.basis] == [g.terms for g in eager.basis], label
+        assert lazy.discard_log == eager.discard_log, label
+        assert lazy.cofactor_log == eager.cofactor_log, label
+        return lazy.stats.pairs_discarded_chain
+
+    cut = 0
+    for label, build in EXAMPLES:
+        ring, gens, res, bound, _ = build()
+        cut += compare(label, ring, gens, bound, label not in _TAIL_OFF, res)
+
+    ring = make_ring(ZZ, "xyz", DEG_LEFT_LEX, ["z", "y", "x"])
+    gens = polys(ring, "-4*z*z, -6, 2*z*z")
+    cut += compare("constants", ring, gens, 4, True, buchberger(ring, gens, 4, test_mode=True))
+
+    rng = random.Random(20261019)
+    runs = constants = 0
+    for i in range(100):
+        nletters = rng.randint(1, 3)
+        names = "abc"[:nletters]
+        kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+        ring = make_ring(ZZ, names, kind, list(names))
+        gens = random_polys(ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6)
+        if i % 3 == 0:
+            gens.append(ring.poly([(b"", ring.domain.coerce(rng.choice([2, 3, 4, 6, -6])))]))
+        if not gens:
+            continue
+        constants += any(not g.leading_word() for g in gens)
+        bound = rng.randint(3, 7)
+        tail = i % 4 < 2
+        lazy = buchberger(ring, gens, bound, tail_reduce=tail, test_mode=True)
+        cut += compare(f"random[{i}]", ring, gens, bound, tail, lazy)
+        runs += 1
+    assert runs >= 90 and constants >= 30
+    assert cut > 0
+    _elapsed_under(120, t0)
+
+
+def test_skew_integer_basis_is_conjecturally_complete_at_bound_17():
+    # the longest basis word has length 6, so 3*6 - 1 = 17 is the first
+    # bound that reaches the completeness threshold; the basis is the one
+    # found at d=14.  The gate is the flag, so no wall-clock ceiling.
+    ring = make_ring(ZZ, "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    gens = polys(ring, SKEW_GENS)
+    res14 = buchberger(ring, gens, 14)
+    res17 = buchberger(ring, gens, 17)
+    assert res14.complete_flag == "truncated"
+    assert res17.complete_flag == "conjecturally-complete"
+    assert max(g.max_word_length() for g in res17.basis) == 6
+    assert _renders(ring, res17) == _renders(ring, res14)
 
 
 def test_composite_modulus_runs_cohere_and_capture_membership():

@@ -1,5 +1,6 @@
 """Reduction, criteria, and the bounded completion loop."""
 
+import itertools
 import random
 
 import pytest
@@ -197,6 +198,43 @@ def test_product_criterion():
     assert meta.coprime_no_overlap and meta.constraints == [(b"", b"")]
     assert not any(meta.holds(W(w)) for w in ("1", "x", "x^2"))
     assert all(meta.holds(W(w)) for w in ("y", "x*y", "z*x", "x*z*x"))
+
+
+def test_product_exceptions_are_the_words_where_the_criterion_fails():
+    # the closed form against a word-by-word scan of holds, on random
+    # leading words and constraints (u, v) with |u| + |LM(g)| == |LM(f)| + |v|
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(3000):
+        nletters = rng.randint(1, 3)
+
+        def word(lo, hi):
+            return bytes(rng.randrange(nletters) for _ in range(rng.randint(lo, hi)))
+
+        meta = _PairMeta.__new__(_PairMeta)
+        meta.coprime_no_overlap = True
+        meta.lmf, meta.lmg = word(0, 3), word(0, 3)
+        meta.constraints = []
+        for _ in range(rng.randint(1, 3)):
+            # u starts with LM(f), or LM(f) with u, or they have one length
+            u = rng.choice([meta.lmf + word(1, 3), meta.lmf[:rng.randint(0, len(meta.lmf))],
+                            word(len(meta.lmf), len(meta.lmf))])
+            if u == meta.lmf:
+                continue
+            vlen = len(u) + len(meta.lmg) - len(meta.lmf)
+            if vlen < 0:
+                continue
+            v = rng.choice([word(vlen, vlen), (meta.lmg * 4)[-vlen:] if vlen else b""])
+            meta.constraints.append((u, v))
+        for k in range(6):
+            brute = [
+                bytes(t)
+                for t in itertools.product(range(nletters), repeat=k)
+                if not meta.holds(bytes(t))
+            ]
+            assert meta.exceptions(k) == brute, (meta.lmf, meta.lmg, meta.constraints, k)
+            found += len(brute)
+    assert found > 1000, found
 
 
 def test_pair_replacement_is_unimodular():
@@ -450,8 +488,17 @@ _TORSION = "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"
          (16898, 1895, 6430, 8449, 99, 12, 4356)),
         (f"ring Zmod 6 <x,y,z> degrevlexR(x>y>z) bound 7;\nideal {_TORSION};",
          (41, 0, 2, 0, 24, 13, 23)),
+        ("ring Z <x,y,z> deglex(z>y>x) bound 4;\nideal -4*z*z, -6, 2*z*z;",
+         (310, 0, 18, 154, 134, 3, 100)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 13;\nideal {_SKEW};",
+         (921764, 253818, 207709, 459903, 269, 17, 138621)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 11;\nideal {_TORSION};",
+         (455648, 51386, 176208, 227824, 205, 12, 117612)),
     ],
-    ids=["readme", "skew-Z-d9", "torsion-Z-d8", "torsion-Zmod6-d7"],
+    ids=[
+        "readme", "skew-Z-d9", "torsion-Z-d8", "torsion-Zmod6-d7",
+        "constants-Z-d4", "skew-Z-d13", "torsion-Z-d11",
+    ],
 )
 def test_stats_counters_are_pinned(job, stats):
     # the counters are part of the CLI's JSON output, so a change to pair
