@@ -48,8 +48,16 @@ _PUNCT = ";,<>()*^+-[]"
 # ASCII only: str.isdigit also accepts digits such as "²" and "٣"
 _DIGITS = frozenset("0123456789")
 # the most digits a literal may have (int()'s limit, or CPython's default
-# where the limit is off); it also bounds a power of a constant
+# where the limit is off); it also bounds a power of a constant and a product
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _coeff_bits(p: Polynomial) -> int:
+    """Bits b with sum(|c|) < 2^b over the coefficients c of p, nonzero over
+    Z or Q: n integers below 2^k sum to below 2^(k + bit_length(n - 1))."""
+    if len(p) == 1:
+        return p.terms[0][1].numerator.bit_length()
+    return max(c.numerator.bit_length() for _, c in p.terms) + (len(p) - 1).bit_length()
 
 
 class JobError(Exception):
@@ -299,6 +307,10 @@ class _Parser:
             factor = self.parse_factor(ring)
             if integral and acc and factor:
                 self.check_length(acc.max_word_length() + factor.max_word_length(), "product", tok)
+            # a product's coefficients are at most its factors' |coefficient| sums multiplied
+            if ring.domain.modulus is None and acc and factor:
+                if (_coeff_bits(acc) + _coeff_bits(factor)) * math.log10(2) >= _MAX_DIGITS:
+                    self.fail(f"number too long (a product of over {_MAX_DIGITS} digits)", tok)
             acc = ring.multiply(acc, factor)
             if not integral:
                 self.check_length(acc.max_word_length(), "product", tok)

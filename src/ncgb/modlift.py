@@ -24,7 +24,6 @@ that common-multiple pattern divides its leading term.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,25 +106,6 @@ def gb_mod_prime(
     return buchberger(ring_p, gens_p, d, reduce=reduce, tail_reduce=tail_reduce)
 
 
-def _common_multiples(u: bytes, v: bytes, d: int, nletters: int):
-    """All ways the words ``u`` and ``v`` can occur inside one word of
-    length <= d: intersecting placements (aligned ones included) plus
-    disjoint placements with every connecting word, both orders.
-    Yields ``(T, pos_u, pos_v)``."""
-    if not u or not v:
-        t = v or u
-        yield (t, 0, 0)
-        return
-    for t, pu, pv in placements(u, v):
-        if len(t) <= d:
-            yield (t, pu, pv)
-    for k in range(d - len(u) - len(v) + 1):
-        for letters in itertools.product(range(nletters), repeat=k):
-            mid = bytes(letters)
-            yield (u + mid + v, 0, len(u) + k)
-            yield (v + mid + u, len(v) + k, 0)
-
-
 def _combine(
     plan: ModulusPlan,
     g_left: list[Polynomial],
@@ -134,12 +114,32 @@ def _combine(
     d: int,
     tail_reduce: bool,
 ) -> list[Polynomial]:
+    """Build the kept CRT candidates of one factor-tree node, interreduced.
+
+    Candidates are ``(T, norm, recipe)`` items listed one length level
+    ``L = 0..d`` at a time, each level passed with the items kept so far
+    to :func:`keep_minimal`.  Level ``L`` holds, in the order of one full
+    listing, the lifted elements, then per pair ``(g, h)`` its
+    intersecting placements and its disjoint placements ``x·w·y``
+    (``u·w·v`` before ``v·w·u``, ``w`` in ``itertools.product`` order).
+
+    Skip rule: ``x·w·y`` is not listed, nor any extension of ``w``, when a
+    kept ``(W, k)`` has ``W`` in ``x·w`` and ``k`` dividing the pair's
+    norm.  Proof: ``|W| <= |x·w| < |x·w'·y|`` for every extension ``w'``,
+    so ``(W, k)`` sorts strictly before each such item and divides it.
+    ``keep_minimal`` drops an item exactly when an earlier item's leading
+    term divides it, and an item divided by a dropped one is divided by
+    the kept item that dropped it, so removing dominated items changes
+    neither the kept list nor its order.  Items of shorter levels sort
+    first and stay kept, so one call per level keeps what one call over
+    every candidate would.
+    """
     m = plan.modulus
     a, b = plan.left.modulus, plan.right.modulus
     s, t = plan.bezout_s, plan.bezout_t
     tb = (t * b) % m
     sa = (s * a) % m
-    nletters = len(ring_m.alphabet)
+    letters = [bytes([c]) for c in range(len(ring_m.alphabet))]
 
     def pair(g: Polynomial, h: Polynomial, T: bytes, pu: int, pv: int) -> Polynomial:
         u, v = g.leading_word(), h.leading_word()
@@ -148,29 +148,57 @@ def _combine(
         fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
         return ring_m.add(fg, fh)
 
-    # every candidate as (leading word, norm of leading coefficient,
-    # recipe): only those that keep_minimal keeps are built
     lifted_a = [_transfer(ring_m, g) for g in g_left]
     lifted_b = [_transfer(ring_m, h) for h in g_right]
-    items = [
+    lifted = [
         (f.leading_word(), math.gcd(c * int(f.leading_coeff()), m), (ring_m.scale, c, f))
-        for c, lifted in ((tb, lifted_a), (sa, lifted_b))
-        for f in lifted
+        for c, fs in ((tb, lifted_a), (sa, lifted_b))
+        for f in fs
     ]
-    for g, h in itertools.product(lifted_a, lifted_b):
-        cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
-        assert (cg * ch) % m, (
-            f"leading coefficients {cg} and {ch} multiply to zero mod {m}: "
-            "they are canonical divisors of a and b lifted below them, so "
-            "their product is a nonzero proper divisor of m"
-        )
-        # tb + sa == 1 (mod m): the leading coefficient is cg*ch
-        norm = math.gcd(cg * ch, m)
-        u, v = g.leading_word(), h.leading_word()
-        for T, pu, pv in _common_multiples(u, v, d, nletters):
-            items.append((T, norm, (pair, g, h, T, pu, pv)))
+    # per pair: leading words, norm, intersecting placements and the frontier of
+    # connecting words w, each with an alive flag for u·w·v and for v·w·u
+    pairs = []
+    for g in lifted_a:
+        for h in lifted_b:
+            cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
+            assert (cg * ch) % m, (
+                f"leading coefficients {cg} and {ch} multiply to zero mod {m}: "
+                "they are canonical divisors of a and b lifted below them, so "
+                "their product is a nonzero proper divisor of m"
+            )
+            u, v = g.leading_word(), h.leading_word()
+            if u and v:
+                placed, frontier = list(placements(u, v)), [(b"", True, True)]
+            else:  # a constant's leading word sits at the start of the other
+                placed, frontier = [(v or u, 0, 0)], []
+            # tb + sa == 1 (mod m): the leading coefficient is cg*ch
+            pairs.append([g, h, u, v, math.gcd(cg * ch, m), placed, frontier])
 
-    out = [build(*args) for build, *args in keep_minimal(ring_m, items)]
+    kept = []
+    for L in range(d + 1):
+        level = [it for it in lifted if len(it[0]) == L]
+        for fam in pairs:
+            g, h, u, v, norm, placed, frontier = fam
+            level += [(T, norm, (pair, g, h, T, pu, pv)) for T, pu, pv in placed if len(T) == L]
+            k = L - len(u) - len(v)
+            if k < 0 or not frontier:
+                continue
+            if k:
+                frontier = [(w + c, fu, fv) for w, fu, fv in frontier for c in letters]
+            ws = [W for W, n, _ in kept if norm % n == 0]
+            fam[-1] = []
+            for w, fu, fv in frontier:
+                fu = fu and not any(W in u + w for W in ws)
+                fv = fv and not any(W in v + w for W in ws)
+                if fu:
+                    level.append((u + w + v, norm, (pair, g, h, u + w + v, 0, len(u) + k)))
+                if fv:
+                    level.append((v + w + u, norm, (pair, g, h, v + w + u, len(v) + k, 0)))
+                if fu or fv:
+                    fam[-1].append((w, fu, fv))
+        kept = keep_minimal(ring_m, [(T, n, (T, n, recipe)) for T, n, recipe in kept + level])
+
+    out = [build(*args) for _, _, (build, *args) in kept]
     return interreduce(out, tail_reduce=tail_reduce)
 
 

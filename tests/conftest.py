@@ -211,13 +211,34 @@ def crt_membership_oracle(ring_m, gens, pad=2):
     return member
 
 
+def common_multiples(u, v, d, nletters):
+    """All ways the words ``u`` and ``v`` can occur inside one word of
+    length <= d: intersecting placements (aligned ones included) plus
+    disjoint placements with every connecting word, both orders.
+    Yields ``(T, pos_u, pos_v)``."""
+    from ncgb.overlap import placements
+
+    if not u or not v:
+        yield (v or u, 0, 0)
+        return
+    for t, pu, pv in placements(u, v):
+        if len(t) <= d:
+            yield (t, pu, pv)
+    for k in range(d - len(u) - len(v) + 1):
+        for letters in itertools.product(range(nletters), repeat=k):
+            mid = bytes(letters)
+            yield (u + mid + v, 0, len(u) + k)
+            yield (v + mid + u, len(v) + k, 0)
+
+
 def combine_building_every_candidate(plan, g_left, g_right, ring_m, d, tail_reduce):
     """The CRT combine step that builds every candidate, drops repeats by
     their full terms and leaves the choice to :func:`ncgb.interreduce`.
     Kept as an oracle for :func:`ncgb.modlift._combine`, which decides
-    from leading terms alone and builds only what it keeps."""
+    from leading terms alone, lists no dominated connecting word and
+    builds only what it keeps."""
     from ncgb.engine import interreduce
-    from ncgb.modlift import _common_multiples, _transfer
+    from ncgb.modlift import _transfer
 
     m = plan.modulus
     a, b = plan.left.modulus, plan.right.modulus
@@ -243,7 +264,7 @@ def combine_building_every_candidate(plan, g_left, g_right, ring_m, d, tail_redu
     for g, h in itertools.product(lifted_a, lifted_b):
         cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
         u, v = g.leading_word(), h.leading_word()
-        for T, pu, pv in _common_multiples(u, v, d, nletters):
+        for T, pu, pv in common_multiples(u, v, d, nletters):
             fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)
             fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
             push(ring_m.add(fg, fh))

@@ -221,6 +221,7 @@ _NEST = "[" * 30 + "x" + ", x + y]" * 30
         ("Z", "3^2000000000*x", "line 2 col 9: number too long (a power of over 4300 digits)"),
         ("Q", "x - 7^6000", "line 2 col 13: number too long (a power of over 4300 digits)"),
         ("Z", "10^4300", "line 2 col 10: number too long (a power of over 4300 digits)"),
+        ("Q", "x*10^3000*10^3000", "line 2 col 17: number too long (a product of over 4300 digits)"),
         ("Z", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
         ("Q", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
         ("Zmod 7", _SUMS, "line 2 col 31: bound too small for a product of length 4"),
@@ -396,6 +397,25 @@ def test_cli_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
         lines = json.loads(out)["basis"] if flags else out.splitlines()[:-1]
         got = [[_int_of(n) for n in re.findall(r"(?<![\^\w])\d+", line)] for line in lines]
         assert got == want
+
+
+def test_cli_rejects_a_product_of_constants_past_the_digit_limit(tmp_path, capsys):
+    # 100 factors in 838 bytes: the first product is checked before it is
+    # built, as a power of a constant is
+    job = "ring Z <x> deglex(x) bound 3;\nideal " + "10^4000*" * 100 + "x;"
+    code, out, err = run_cli(tmp_path, capsys, job)
+    assert code == 1 and out == ""
+    assert err == "error: line 2 col 15: number too long (a product of over 4300 digits)\n"
+
+
+def test_cli_keeps_products_within_the_digit_limit(tmp_path, capsys):
+    # the check bounds what the parser builds, not what the run makes
+    code, _, err = run_cli(tmp_path, capsys, BIG_COEFFICIENT)
+    assert code == 0 and err == ""
+    for ideal in ("10^4299*x", "10^2000*10^2299*x", "2*10^2000*5*10^2298*x"):
+        code, out, err = run_cli(tmp_path, capsys, f"ring Z <x> deglex(x) bound 3;\nideal {ideal};")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "1" + "0" * 4299 + "*x"
 
 
 def test_cli_prime_power_modulus_exits_2(tmp_path, capsys):

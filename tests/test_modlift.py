@@ -6,16 +6,12 @@ import pytest
 
 from ncgb import DEG_LEFT_LEX, DEG_RIGHT_LEX, normal_form, verify_strong_basis
 from ncgb.coeffring import residue_domain
-from ncgb.modlift import (
-    _common_multiples,
-    _transfer,
-    gb_mod_prime,
-    gb_zmod,
-    plan_modulus,
-)
+from ncgb.engine import keep_minimal
+from ncgb.modlift import _transfer, gb_mod_prime, gb_zmod, plan_modulus
 
 from conftest import (
     combine_building_every_candidate,
+    common_multiples,
     crt_membership_oracle,
     make_ring,
     polys,
@@ -153,7 +149,7 @@ def test_recombined_basis_members_of_input_ideal():
 
 def test_common_multiples_enumeration():
     # u = xy, v = yx over two letters, bound 4: two overlaps, two disjoint
-    got = sorted(_common_multiples(b"\x00\x01", b"\x01\x00", 4, 2))
+    got = sorted(common_multiples(b"\x00\x01", b"\x01\x00", 4, 2))
     assert got == [
         (b"\x00\x01\x00", 0, 1),
         (b"\x00\x01\x01\x00", 0, 2),
@@ -161,7 +157,7 @@ def test_common_multiples_enumeration():
         (b"\x01\x00\x01", 1, 0),
     ]
     # a constant's leading word sits at the start of the other word
-    assert list(_common_multiples(b"", b"\x01\x00", 4, 2)) == [(b"\x01\x00", 0, 0)]
+    assert list(common_multiples(b"", b"\x01\x00", 4, 2)) == [(b"\x01\x00", 0, 0)]
 
 
 def test_transfer_drops_vanishing_terms():
@@ -203,34 +199,76 @@ def _both_combines(monkeypatch, ring, gens, d, tail_reduce):
     return got, want
 
 
+def _torsion_mod_2310():
+    r = make_ring(residue_domain(2310), "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    return r, polys(r, "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x")
+
+
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_combine_matches_building_every_candidate_on_torsion(monkeypatch, d):
-    r = make_ring(residue_domain(2310), "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
-    gens = polys(r, "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x")
+    r, gens = _torsion_mod_2310()
     for tail_reduce in (True, False):
         got, want = _both_combines(monkeypatch, r, gens, d, tail_reduce)
         assert got == want
 
 
-def test_combine_matches_building_every_candidate_on_random_ideals(monkeypatch):
+def _random_combines_match(monkeypatch, moduli, names, maxlen, d, seed):
     # binomials without constant terms, so that most draws keep torsion
     # and non-unit leading coefficients instead of collapsing to the unit
-    for m in (6, 30, 210):
+    for m in moduli:
         for kind in (DEG_LEFT_LEX, DEG_RIGHT_LEX):
-            rm = make_ring(residue_domain(m), "xyz", kind, ["x", "y", "z"])
-            rng = random.Random(20261018 + m)
+            rm = make_ring(residue_domain(m), names, kind, list(names))
+            rng = random.Random(seed + m)
             for _ in range(8):
                 gens = [
                     rm.poly(
-                        (bytes(rng.randrange(3) for _ in range(rng.randint(1, 2))), rng.randrange(1, m))
+                        (bytes(rng.randrange(len(names)) for _ in range(rng.randint(1, maxlen))), rng.randrange(1, m))
                         for _ in range(2)
                     )
                     for _ in range(3)
                 ]
                 gens = [g for g in gens if not g.is_zero]
                 for tail_reduce in (True, False):
-                    got, want = _both_combines(monkeypatch, rm, gens, 5, tail_reduce)
+                    got, want = _both_combines(monkeypatch, rm, gens, d, tail_reduce)
                     assert got == want, (m, kind, [rm.render(g) for g in gens])
+
+
+def test_combine_matches_building_every_candidate_on_random_ideals(monkeypatch):
+    _random_combines_match(monkeypatch, (6, 30, 210), "xyz", 2, 5, 20261018)
+
+
+def test_combine_breaks_ties_as_building_every_candidate(monkeypatch):
+    # over two letters with leading words up to length 3, candidates of
+    # different pairs often share T and norm, and the first listed must be
+    # kept (the two orientations of one pair never tie undominated: if
+    # u·w·v == v·w'·u, one of u, v begins the other, and that aligned
+    # placement divides both)
+    _random_combines_match(monkeypatch, (6, 30), "xy", 3, 6, 20261020)
+
+
+def test_combine_lists_no_dominated_connecting_word(monkeypatch):
+    from ncgb import modlift
+
+    received = []
+
+    def counting_keep_minimal(ring, items):
+        items = list(items)
+        received.append(len(items))
+        return keep_minimal(ring, items)
+
+    monkeypatch.setattr(modlift, "keep_minimal", counting_keep_minimal)
+    r, gens = _torsion_mod_2310()
+    gb_zmod(r, gens, 10)
+    # listing every connecting word makes 510,387 items
+    assert 0 < sum(received) <= 5000
+
+
+def test_torsion_basis_mod_2310_is_the_same_at_bounds_10_and_12():
+    r, gens = _torsion_mod_2310()
+    res10, res12 = gb_zmod(r, gens, 10), gb_zmod(r, gens, 12)
+    assert [p.terms for p in res12.basis] == [p.terms for p in res10.basis]
+    assert len(res12.basis) == 9
+    assert res10.complete_flag == res12.complete_flag == "conjecturally-complete"
 
 
 def test_composite_bases_have_unique_leading_words():
