@@ -17,7 +17,6 @@ from .engine import (
     interreduce,
     monomial_basis,
     normal_form,
-    pair_replacement,
     verify_strong_basis,
 )
 from .freealg import (
@@ -62,7 +61,6 @@ __all__ = [
     "monomial_basis",
     "normal_form",
     "overlaps",
-    "pair_replacement",
     "plan_modulus",
     "residue_domain",
     "s_cofactors",

@@ -48,7 +48,7 @@ _PUNCT = ";,<>()*^+-[]"
 # ASCII only: str.isdigit also accepts digits such as "²" and "٣"
 _DIGITS = frozenset("0123456789")
 # the most digits a literal may have (int()'s limit, or CPython's default
-# where the limit is off); it also bounds a power of a constant and a product
+# where the limit is off); it also bounds a power and a product
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
@@ -328,11 +328,11 @@ class _Parser:
             # and squarefree Z/m, so a power past the bound is rejected
             # before it is built
             self.check_length(e * base.max_word_length(), "power", t)
-            # a power of a constant over Z or Q may have as many digits as
-            # a literal; over Z/m it is reduced at every multiplication
-            if ring.domain.modulus is None and len(base) == 1 and not base.max_word_length():
-                c = abs(int(base.leading_coeff()))
-                if c > 1 and e >= _MAX_DIGITS / math.log10(c):
+            # over Z or Q a power's coefficients are at most S^e, S the sum
+            # of the base's |coefficient|; over Z/m they are reduced
+            if ring.domain.modulus is None:
+                s = sum(abs(c.numerator) for _, c in base.terms)
+                if s > 1 and e >= _MAX_DIGITS / math.log10(s):
                     self.fail(f"number too long (a power of over {_MAX_DIGITS} digits)", t)
             # binary exponentiation; powers of one polynomial commute
             out = ring.one

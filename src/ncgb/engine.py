@@ -417,19 +417,6 @@ def coeff_criterion(f: Polynomial, g: Polynomial) -> bool:
     return dom.divides(cf, cg) or dom.divides(cg, cf)
 
 
-def pair_replacement(f: Polynomial, g: Polynomial):
-    """For ``LM(f) == LM(g)`` over Z: the unimodular swap to
-    ``(spoly, gpoly)`` on ``t = LM(f)`` with identity embeddings.
-
-    The defining 2x2 matrix has determinant ``a_f b_g + a_g b_f = 1``,
-    so ``{f, g}`` and ``{spoly, gpoly}`` generate the same ideal.
-    """
-    if f.leading_word() != g.leading_word():
-        raise ValueError("pair replacement needs equal leading words")
-    t = f.leading_word()
-    return pair_poly(f, g, t, 0, 0, False), pair_poly(f, g, t, 0, 0, True)
-
-
 # ---------------------------------------------------------------------------
 # first-type relation enumeration (engine-internal: tolerates constants)
 # ---------------------------------------------------------------------------
@@ -477,28 +464,20 @@ class _PairMeta:
         self.gcd = dom.ext_gcd(cf, cg)[0]
         self.last: tuple[int, Word] | None = None
 
-    def holds(self, w: Word) -> bool:
-        """Does the criterion discard the pair at connecting word ``w``?"""
-        if not self.coprime_no_overlap:
-            return False
-        lmf, lmg = self.lmf, self.lmg
-        for u, v in self.constraints:
-            if u + w + lmg == lmf + w + v:
-                return False
-        return True
-
     def exceptions(self, k: int) -> list[Word]:
-        """The connecting words of length ``k`` where :meth:`holds` is
-        False, in bytes order, for a ``coprime_no_overlap`` pair.
+        """The connecting words of length ``k`` where the product
+        criterion keeps the second-type S-pair, in bytes order, for a
+        ``coprime_no_overlap`` pair.
 
-        A constraint ``(u, v)`` fails at ``w`` when ``u·w·LM(g) ==
-        LM(f)·w·v``.  That needs ``u != LM(f)``, which holds for a tail
-        word, so ``|u| != |LM(f)|``.  Let ``p`` be the rest of the longer
-        of the two after the shorter.  If ``u == LM(f)·p`` then ``p·w·LM(g)
-        == w·v``; if ``LM(f) == u·p`` then ``w·LM(g) == p·w·v``.  Either
-        way ``w`` is a prefix of ``p·w``, so ``w[i] == p[i]`` below
-        ``|p|`` and ``w[i] == w[i-|p|]`` above: ``w`` is the first ``k``
-        letters of ``p`` repeated, the one candidate per constraint.
+        The criterion discards the pair at ``w`` unless some constraint
+        ``(u, v)``, a pair of tail words of ``f`` and ``g``, has ``u·w·LM(g)
+        == LM(f)·w·v``.  At ``|u| == |LM(f)|`` that needs ``u == LM(f)``,
+        which no tail word is; so ``|u| != |LM(f)|``.  Let ``p`` be the
+        rest of the longer of the two after the shorter.  If ``u ==
+        LM(f)·p`` then ``p·w·LM(g) == w·v``; if ``LM(f) == u·p`` then
+        ``w·LM(g) == p·w·v``.  Either way ``w`` is a prefix of ``p·w``, so
+        ``w[i] == p[i]`` below ``|p|`` and ``w[i] == w[i-|p|]`` above: ``w``
+        is the first ``k`` letters of ``p`` repeated, one per constraint.
         """
         lmf, lmg = self.lmf, self.lmg
         out = set()
@@ -678,9 +657,10 @@ class _Engine:
     # -- chain criterion ----------------------------------------------------
 
     def _product_ok(self, a: int, b: int, w: Word) -> bool:
-        """:meth:`_PairMeta.holds` for the second-type pair of ordered
-        ``(a, b)`` at connecting word ``w``."""
-        return self._meta(a, b).holds(w)
+        """Does the product criterion discard the second-type S-pair of
+        ordered ``(a, b)`` at connecting word ``w``?"""
+        meta = self._meta(a, b)
+        return meta.coprime_no_overlap and w not in meta.exceptions(len(w))
 
     def _premise_ok(self, a: int, pa: int, la: int, b: int, pb: int, lb: int, t: Word) -> bool:
         """Was the sub-pair spanned by the occurrences ``a@pa`` and
@@ -759,11 +739,13 @@ class _Engine:
         self.active.remove(k)
         del self.lm_index[p.leading_word()]
 
-    def _absorb(self, raw: Polynomial) -> None:
+    def _absorb(self, raw: Polynomial) -> bool:
+        """Reduce ``raw`` and insert the rest; False if it reduces to zero."""
         h = normal_form(raw, self._snapshot(), tail_reduce=self.tail_reduce)
         if h.is_zero:
-            return
+            return False
         self._insert(h)
+        return True
 
     def _insert(self, h: Polynomial) -> None:
         ring = self.ring
@@ -783,10 +765,11 @@ class _Engine:
             e = self.lm_index.get(lm)
             if e is None:
                 break
-            # same leading word: unimodular replacement keeps one owner
+            # same leading word: the aligned first-type pair is a unimodular
+            # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner
             fe = self.polys[e]
             self._log_cofactors(fe.leading_coeff(), lc)
-            sp, gp = pair_replacement(fe, h)
+            sp, gp = spoly1(fe, h, lm, 0, 0)
             self._retire(e)
             if not sp.is_zero:
                 self._push(len(sp.leading_word()), "P", -1, -1, sp)
@@ -849,12 +832,8 @@ class _Engine:
             if self.discard_log is not None:
                 self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            p = self._build_pair_poly(kind, f, g, t, pi, pj)
-            h = normal_form(p, self._snapshot(), tail_reduce=self.tail_reduce)
-            if h.is_zero:
+            if not self._absorb(self._build_pair_poly(kind, f, g, t, pi, pj)):
                 self.stats.reductions_to_zero += 1
-            else:
-                self._insert(h)
         # an S-pair, discarded or reduced, is handled: a premise of the
         # chain criterion from now on (G-pairs never are one)
         if kind == S1:
@@ -1069,6 +1048,13 @@ def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polyn
     :func:`keep_minimal` drops the elements whose leading term another
     element's divides, from raw leading terms: normalising by a unit,
     done to the survivors only, keeps each word and norm.
+
+    The tail pass runs once: it leaves every tail in normal form.  Whether
+    :func:`normal_form` steps a term ``(w, c)`` depends only on ``w``,
+    ``c`` and the reducers' leading words and divisors, and the pass
+    changes no leading term; so a tail reduced early in the pass stays
+    irreducible after the later elements change, and a second pass would
+    take no step.
     """
     if not basis:
         return []
@@ -1077,18 +1063,9 @@ def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polyn
     items = ((p.leading_word(), norm(p.leading_coeff()), p) for p in basis if not p.is_zero)
     kept = [ring.normalize_leading(p) for p in keep_minimal(ring, items)]
     if tail_reduce:
-        while True:
-            changed = False
-            for idx, p in enumerate(kept):
-                lt = ring.from_terms(p.terms[:1])
-                rest = ring.from_terms(p.terms[1:])
-                red = normal_form(rest, kept, tail_reduce=True)
-                q = ring.add(lt, red)
-                if q.terms != p.terms:
-                    kept[idx] = q
-                    changed = True
-            if not changed:
-                break
+        for idx, p in enumerate(kept):
+            red = normal_form(ring.from_terms(p.terms[1:]), kept, tail_reduce=True)
+            kept[idx] = ring.add(ring.from_terms(p.terms[:1]), red)
     return kept
 
 

@@ -289,11 +289,23 @@ def random_polys(ring, rng, *, ngens, maxterms, maxlen, maxcoeff):
 
 
 
+def product_criterion_holds(meta, w):
+    """Does the product criterion discard the second-type S-pair of
+    ``meta``'s ordered ``(f, g)`` at connecting word ``w``?  Its
+    word-by-word definition: the leading coefficients are coprime, the
+    leading words do not overlap, and no pair ``(u, v)`` of tail words of
+    ``f`` and ``g`` has ``u·w·LM(g) == LM(f)·w·v``.  Kept as an oracle for
+    the closed form :meth:`ncgb.engine._PairMeta.exceptions`."""
+    return meta.coprime_no_overlap and all(
+        u + w + meta.lmg != meta.lmf + w + v for u, v in meta.constraints
+    )
+
+
 class EagerEngine(_Engine):
     """The engine with one queue entry per second-type pair: the product
-    criterion tested word by word with :meth:`_PairMeta.holds`, and every
-    queued word dequeued through ``_process`` and its chain criterion.
-    Kept as an oracle for the word ranges of
+    criterion tested word by word with :func:`product_criterion_holds`,
+    and every queued word dequeued through ``_process`` and its chain
+    criterion.  Kept as an oracle for the word ranges of
     :meth:`ncgb.engine._Engine._walk`, their bulk chain cuts and the
     closed-form product criterion (:meth:`_PairMeta.exceptions`)."""
 
@@ -315,7 +327,7 @@ class EagerEngine(_Engine):
             for r, letters in enumerate(itertools.product(range(nletters), repeat=k)):
                 w = bytes(letters)
                 self.stats.pairs_created += 1
-                if meta.holds(w):
+                if product_criterion_holds(meta, w):
                     self.stats.pairs_discarded_product += 1
                     if self.discard_log is not None:
                         self.discard_log.append(("S2", f, g, w))
@@ -375,6 +387,7 @@ class SetKeyedEngine(_Engine):
                 key = (a, b, t[pa + la:pb])
             else:
                 key = (b, a, t[pb + lb:pa])
-            assert ok == (key in self.s2_keys or self._product_ok(*key)), key
+            covered = product_criterion_holds(self._meta(key[0], key[1]), key[2])
+            assert ok == (key in self.s2_keys or covered), key
             self.checks += 1
         return ok

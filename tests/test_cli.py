@@ -408,6 +408,18 @@ def test_cli_rejects_a_product_of_constants_past_the_digit_limit(tmp_path, capsy
     assert err == "error: line 2 col 15: number too long (a product of over 4300 digits)\n"
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_cli_rejects_a_power_of_a_polynomial_past_the_digit_limit(tmp_path, capsys, ring):
+    # (x + 9)^4300 has coefficients of about 4,300 digits: its base's
+    # |coefficient| sum 10 bounds them by 10^4300, checked before building
+    t0 = time.monotonic()
+    job = f"ring {ring} <x> deglex(x) bound 5000;\nideal (x + 9)^4300;"
+    code, out, err = run_cli(tmp_path, capsys, job)
+    assert code == 1 and out == ""
+    assert err == "error: line 2 col 15: number too long (a power of over 4300 digits)\n"
+    assert time.monotonic() - t0 < 1
+
+
 def test_cli_keeps_products_within_the_digit_limit(tmp_path, capsys):
     # the check bounds what the parser builds, not what the run makes
     code, _, err = run_cli(tmp_path, capsys, BIG_COEFFICIENT)

@@ -20,14 +20,21 @@ from ncgb import (
     interreduce,
     monomial_basis,
     normal_form,
-    pair_replacement,
+    spoly1,
     verify_strong_basis,
 )
 from ncgb.cli import parse_job
 from ncgb.coeffring import residue_domain
-from ncgb.engine import _PairMeta, _ReducerSet
+from ncgb.engine import _Engine, _PairMeta, _ReducerSet
 
-from conftest import make_ring, poly, polys, random_polys, verify_by_lm_reduction
+from conftest import (
+    make_ring,
+    poly,
+    polys,
+    product_criterion_holds,
+    random_polys,
+    verify_by_lm_reduction,
+)
 
 
 R = make_ring(ZZ, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
@@ -182,26 +189,38 @@ def test_coeff_criterion():
     assert coeff_criterion(poly(r, "4*x"), poly(r, "6*y"))
 
 
+def _product_verdicts(f, g, words):
+    """The product criterion's verdicts on ordered ``(f, g)`` at each
+    connecting word, from the engine and from the word-by-word oracle."""
+    eng = _Engine(R, 9, True, True, False)
+    eng.polys = [f, g]
+    meta = _PairMeta(f, g)
+    engine = [eng._product_ok(0, 1, R.parse_word(w)) for w in words]
+    oracle = [product_criterion_holds(meta, R.parse_word(w)) for w in words]
+    assert engine == oracle, (engine, oracle)
+    return engine
+
+
 def test_product_criterion():
-    W = R.parse_word
     f = poly(R, "4*x*y + x")
     g = poly(R, "6*z*y + z")
-    assert not _PairMeta(f, g).holds(b"")  # gcd = 2
+    assert _product_verdicts(f, g, ["1"]) == [False]  # gcd = 2
     f2 = poly(R, "3*x*y + x")
     g2 = poly(R, "2*z*y + z")
-    assert _PairMeta(f2, g2).holds(b"")
+    assert _product_verdicts(f2, g2, ["1"]) == [True]
     # a tail collision u*w*LM(g) == LM(f)*w*v blocks the discard: the
     # leading coefficients are coprime and x meets x only in the identity
     # placement, but the constant tails give 1*w*x == x*w*1 whenever w
     # commutes with x
-    meta = _PairMeta(poly(R, "3*x + 1"), poly(R, "2*x + 1"))
+    f3, g3 = poly(R, "3*x + 1"), poly(R, "2*x + 1")
+    meta = _PairMeta(f3, g3)
     assert meta.coprime_no_overlap and meta.constraints == [(b"", b"")]
-    assert not any(meta.holds(W(w)) for w in ("1", "x", "x^2"))
-    assert all(meta.holds(W(w)) for w in ("y", "x*y", "z*x", "x*z*x"))
+    assert not any(_product_verdicts(f3, g3, ["1", "x", "x^2"]))
+    assert all(_product_verdicts(f3, g3, ["y", "x*y", "z*x", "x*z*x"]))
 
 
 def test_product_exceptions_are_the_words_where_the_criterion_fails():
-    # the closed form against a word-by-word scan of holds, on random
+    # the closed form against a word-by-word scan of the oracle, on random
     # leading words and constraints (u, v) with |u| + |LM(g)| == |LM(f)| + |v|
     rng = random.Random(20261018)
     found = 0
@@ -230,7 +249,7 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
             brute = [
                 bytes(t)
                 for t in itertools.product(range(nletters), repeat=k)
-                if not meta.holds(bytes(t))
+                if not product_criterion_holds(meta, bytes(t))
             ]
             assert meta.exceptions(k) == brute, (meta.lmf, meta.lmg, meta.constraints, k)
             found += len(brute)
@@ -238,9 +257,11 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
 
 
 def test_pair_replacement_is_unimodular():
+    # the engine's replacement of two elements with one leading word is
+    # the aligned first-type pair
     f = poly(R, "4*x*y + y")
     g = poly(R, "6*x*y + z")
-    s, gp = pair_replacement(f, g)
+    s, gp = spoly1(f, g, f.leading_word(), 0, 0)
     # gcd element takes over the leading word
     assert gp.leading_word() == f.leading_word() and gp.leading_coeff() == 2
     assert R.compare_words(s.leading_word(), f.leading_word()) == -1
@@ -252,8 +273,9 @@ def test_pair_replacement_is_unimodular():
 
 
 def test_pair_replacement_needs_equal_words():
+    f = poly(R, "x")
     with pytest.raises(ValueError):
-        pair_replacement(poly(R, "x"), poly(R, "y"))
+        spoly1(f, poly(R, "y"), f.leading_word(), 0, 0)
 
 
 # -- completion -----------------------------------------------------------------
@@ -337,6 +359,27 @@ def test_interreduce_drops_covered_heads():
     basis2 = polys(R, "2*x, 3*x*y")
     kept2 = interreduce(basis2)
     assert sorted(R.render(g) for g in kept2) == ["2*x", "3*x*y"]
+
+
+@pytest.mark.parametrize(
+    "domain", [ZZ, QQ, residue_domain(7), residue_domain(30)], ids=["Z", "Q", "Z/7", "Z/30"]
+)
+def test_interreduce_is_idempotent(domain):
+    # one tail pass leaves every tail in normal form modulo the result, so
+    # a second interreduction changes no term
+    ring = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
+    rng = random.Random(20261019)
+    changed = 0
+    for _ in range(150):
+        basis = random_polys(ring, rng, ngens=4, maxterms=4, maxlen=3, maxcoeff=9)
+        once = interreduce(basis, tail_reduce=True)
+        twice = interreduce(once, tail_reduce=True)
+        assert [p.terms for p in twice] == [p.terms for p in once]
+        for p in once:
+            tail = ring.from_terms(p.terms[1:])
+            assert normal_form(tail, once, tail_reduce=True).terms == tail.terms
+        changed += [p.terms for p in once] != [p.terms for p in interreduce(basis, False)]
+    assert changed > 20, changed
 
 
 def test_completeness_flag_threshold():
