@@ -19,6 +19,7 @@ too small), 2 unsupported feature (e.g. a prime-power modulus).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -507,7 +508,9 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="ncgb",
         description="bounded strong Groebner bases for free algebras over Z, Q, Z/m",
@@ -524,7 +527,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--equiv", metavar="FILE", default=None,
                     help="compare against the comma-separated polynomials in FILE")
     ap.add_argument("--output", choices=("text", "json"), default="text")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.jobfile == "-":

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
@@ -70,7 +70,7 @@ class Stats:
 
     def as_dict(self) -> dict[str, int]:
         """The counters in field order, which is the CLI's JSON key order."""
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass(slots=True)
@@ -88,12 +88,18 @@ class GBResult:
 # reduction
 # ---------------------------------------------------------------------------
 
-class _ReducerSet:
-    """A basis prepared for repeated :func:`normal_form` calls.
+def _reducer(dom, g: Polynomial) -> tuple:
+    """A nonzero reducer ``g`` as ``(LM, |LM|, divisor of LC, terms, g)``,
+    the divisor being the form the division step divides by."""
+    lm, lc = g.terms[0]
+    return (lm, len(lm), dom.divisor(lc), g.terms, g)
 
-    Picks the domain's division step once and precomputes, per reducer,
-    the leading word and the leading coefficient in the form the step
-    divides by (:meth:`Domain.divisor`).
+
+class _ReducerSet:
+    """A basis prepared for repeated :func:`normal_form` calls: the
+    domain's division step, picked once, and one :func:`_reducer` record
+    per nonzero element, in order.  ``reducers`` may be any iterable of
+    records; the engine's is a live view of its active set.
     """
 
     __slots__ = ("ring", "step", "modulus", "reducers")
@@ -103,11 +109,7 @@ class _ReducerSet:
         self.ring = ring
         self.step = dom.step
         self.modulus = dom.modulus
-        self.reducers = [
-            (g.terms[0][0], len(g.terms[0][0]), dom.divisor(g.terms[0][1]), g.terms, g)
-            for g in basis
-            if g.terms
-        ]
+        self.reducers = [_reducer(dom, g) for g in basis if g.terms]
 
 
 def normal_form(
@@ -529,7 +531,10 @@ class _Engine:
         self.field_mode = dom.is_field
 
         self.polys: list[Polynomial | None] = []
-        self.active: list[int] = []
+        # index -> _reducer record of each active element; reductions read a live view
+        self.active: dict[int, tuple] = {}
+        self.reducers = _ReducerSet(ring, ())
+        self.reducers.reducers = self.active.values()
         self.lm_index: dict[Word, int] = {}
         # queued pairs (weight, seq, kind, i, j, data): the weight is the
         # length of the common word; data is the placement (t, pi, pj) of a
@@ -553,9 +558,6 @@ class _Engine:
         self.cofactor_log: list[tuple] | None = [] if test_mode else None
 
     # -- small helpers -----------------------------------------------------
-
-    def _snapshot(self) -> list[Polynomial]:
-        return [self.polys[k] for k in self.active]
 
     def _push(self, weight: int, kind: str, i: int, j: int, data, size: int = 1) -> None:
         heapq.heappush(self.heap, (weight, self.seq, kind, i, j, data))
@@ -590,9 +592,8 @@ class _Engine:
     def _register(self, n: int) -> None:
         """Enqueue all critical pairs between element ``n`` and the
         active basis (including ``n`` itself)."""
-        lmn = self.polys[n].leading_word()
-        for k in self.active:
-            lmk = self.polys[k].leading_word()
+        lmn = self.active[n][0]
+        for k, (lmk, _, _, _, _) in self.active.items():
             # first type, one orientation (the swapped S-poly is the
             # negation; the swapped G-poly differs by a multiple of the
             # S-poly)
@@ -711,16 +712,10 @@ class _Engine:
         else:
             meta = self._meta(i, j)
             need = meta.gcd if kind in (G1, G2) else meta.lcm
-        li = len(self.polys[i].leading_word())
-        lj = len(self.polys[j].leading_word())
-        for k in self.active:
-            fk = self.polys[k]
-            if need is not None and need % fk.leading_coeff() != 0:
+        li, lj = self.active[i][1], self.active[j][1]
+        for k, (lmf, lf, _, terms, _) in self.active.items():
+            if not lf or (need is not None and need % terms[0][1] != 0):
                 continue
-            lmf = fk.leading_word()
-            if not lmf:
-                continue
-            lf = len(lmf)
             pos = t.find(lmf)
             while pos >= 0:
                 if not ((k == i and pos == pi) or (k == j and pos == pj)):
@@ -734,14 +729,12 @@ class _Engine:
     # -- insertion ----------------------------------------------------------
 
     def _retire(self, k: int) -> None:
-        p = self.polys[k]
         self.polys[k] = None
-        self.active.remove(k)
-        del self.lm_index[p.leading_word()]
+        del self.lm_index[self.active.pop(k)[0]]
 
     def _absorb(self, raw: Polynomial) -> bool:
         """Reduce ``raw`` and insert the rest; False if it reduces to zero."""
-        h = normal_form(raw, self._snapshot(), tail_reduce=self.tail_reduce)
+        h = normal_form(raw, self.reducers, tail_reduce=self.tail_reduce)
         if h.is_zero:
             return False
         self._insert(h)
@@ -773,7 +766,7 @@ class _Engine:
             self._retire(e)
             if not sp.is_zero:
                 self._push(len(sp.leading_word()), "P", -1, -1, sp)
-            h = normal_form(gp, self._snapshot(), tail_reduce=self.tail_reduce)
+            h = normal_form(gp, self.reducers, tail_reduce=self.tail_reduce)
             if h.is_zero:  # pragma: no cover - leading term always survives
                 return
             h = ring.normalize_leading(h)
@@ -783,19 +776,17 @@ class _Engine:
         lm = h.leading_word()
         lc = h.leading_coeff()
         victims = [
-            k
-            for k in self.active
-            if lm in self.polys[k].leading_word()
-            and dom.divides(lc, self.polys[k].leading_coeff())
+            (k, lk, p)
+            for k, (lmk, lk, _, terms, p) in self.active.items()
+            if lm in lmk and dom.divides(lc, terms[0][1])
         ]
-        for k in victims:
-            p = self.polys[k]
+        for k, lk, p in victims:
             self._retire(k)
-            self._push(len(p.leading_word()), "P", -1, -1, p)
+            self._push(lk, "P", -1, -1, p)
 
         n = len(self.polys)
         self.polys.append(h)
-        self.active.append(n)
+        self.active[n] = _reducer(dom, h)
         self.lm_index[lm] = n
         self.stats.basis_insertions += 1
         self.insertion_log.append((len(lm), h))
@@ -888,12 +879,9 @@ class _Engine:
         k = lvl - len(meta.lmf) - len(meta.lmg)
         n = len(self.ring.alphabet)
         need = meta.gcd if kind == G2 else meta.lcm
-        cuts = []
-        for c in self.active:
-            pc = self.polys[c]
-            lm = pc.leading_word()
-            if lm and need % pc.leading_coeff() == 0:
-                cuts.append(lm)
+        cuts = [
+            lm for lm, lk, _, terms, _ in self.active.values() if lk and need % terms[0][1] == 0
+        ]
         lo = 0 if meta.lmf else 1
         hi = k if meta.lmg else k - 1
         inserted = self.stats.basis_insertions
@@ -976,7 +964,7 @@ class _Engine:
         if self.unit:
             basis = [ring.one]
         else:
-            basis = self._snapshot()
+            basis = [g for *_, g in self.active.values()]
             if self.reduce:
                 basis = interreduce(basis, tail_reduce=self.tail_reduce)
         # leading words are unique here (one owner per word in lm_index)
@@ -1063,9 +1051,11 @@ def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polyn
     items = ((p.leading_word(), norm(p.leading_coeff()), p) for p in basis if not p.is_zero)
     kept = [ring.normalize_leading(p) for p in keep_minimal(ring, items)]
     if tail_reduce:
+        prepared = _ReducerSet(ring, kept)
         for idx, p in enumerate(kept):
-            red = normal_form(ring.from_terms(p.terms[1:]), kept, tail_reduce=True)
+            red = normal_form(ring.from_terms(p.terms[1:]), prepared, tail_reduce=True)
             kept[idx] = ring.add(ring.from_terms(p.terms[:1]), red)
+            prepared.reducers[idx] = _reducer(ring.domain, kept[idx])
     return kept
 
 
@@ -1202,11 +1192,12 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     Over a field there are no frontier words, so the test is one sum of
     memoised forms.  The memo is kept for the whole call, except over Z
     when a reducer has a non-unit leading coefficient: then it is
-    cleared after each basis pair ``(i, j)``, because the forms carry
-    large integer coefficients there (on the torsion ideal at d=9,
-    keeping them for the whole call raised the peak RSS from 25.4 MB to
-    44.4 MB).  Over Z/m every coefficient is a residue below m, so the
-    forms stay as small as over a field.
+    cleared after each basis pair ``(i, j)``: forms there expand into
+    frontier words as well as leaves, so they hold many small terms.
+    Kept for the whole call on the skew and torsion ideals at d=9, the
+    memo held 85,889 and 535,928 terms (298 for the skew ideal over Q)
+    of at most 27 and 38 bits, and the torsion run's peak RSS rose from
+    25.4 MB to 44.4 MB.  Over Z/m every coefficient is a residue below m.
     """
     failures: list[tuple] = []
     n = len(basis)

@@ -5,7 +5,7 @@ import itertools
 from ncgb import Alphabet, FreeAlgebra, Ordering, normal_form
 from ncgb.cli import parse_poly_list
 from ncgb.coeffring import residue_domain, squarefree_factors
-from ncgb.engine import G2, S2, _Engine, _word
+from ncgb.engine import G2, S2, _Engine, _ReducerSet, _word
 
 
 def make_ring(domain, names, kind, ranked, weights=None):
@@ -65,7 +65,7 @@ def verify_by_lm_reduction(ring, basis, d):
     reducer order and failure records as :func:`ncgb.verify_strong_basis`,
     without its memoised word forms and frontier steps.  Kept as an
     oracle for them over every domain."""
-    from ncgb.engine import _ReducerSet, _first_type
+    from ncgb.engine import _first_type
     from ncgb.overlap import spoly1, spoly2
 
     failures = []
@@ -271,6 +271,26 @@ def combine_building_every_candidate(plan, g_left, g_right, ring_m, d, tail_redu
     return interreduce(out, tail_reduce=tail_reduce)
 
 
+def interreduce_preparing_every_call(basis, tail_reduce=True):
+    """:func:`ncgb.interreduce` with a tail pass that hands the working
+    list to :func:`ncgb.normal_form`, which prepares every element again
+    on each call.  Kept as an oracle for the tail pass that prepares the
+    list once and replaces one record per reduced element."""
+    from ncgb.engine import keep_minimal
+
+    if not basis:
+        return []
+    ring = basis[0].ring
+    norm = ring.domain.norm
+    items = ((p.leading_word(), norm(p.leading_coeff()), p) for p in basis if not p.is_zero)
+    kept = [ring.normalize_leading(p) for p in keep_minimal(ring, items)]
+    if tail_reduce:
+        for idx, p in enumerate(kept):
+            red = normal_form(ring.from_terms(p.terms[1:]), kept, tail_reduce=True)
+            kept[idx] = ring.add(ring.from_terms(p.terms[:1]), red)
+    return kept
+
+
 def random_polys(ring, rng, *, ngens, maxterms, maxlen, maxcoeff):
     """Small random generators; zero draws are simply dropped."""
     n = len(ring.alphabet)
@@ -391,3 +411,37 @@ class SetKeyedEngine(_Engine):
             assert ok == (key in self.s2_keys or covered), key
             self.checks += 1
         return ok
+
+
+class _CheckedReducers(_ReducerSet):
+    """The live reducers of a :class:`FreshReducersEngine`: reading
+    ``reducers``, as :func:`ncgb.normal_form` does once per call, first
+    compares the engine's records with a fresh preparation."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine):
+        dom = engine.ring.domain
+        self.ring, self.step, self.modulus = engine.ring, dom.step, dom.modulus
+        self.engine = engine
+
+    @property
+    def reducers(self):
+        eng = self.engine
+        fresh = _ReducerSet(eng.ring, [p for p in eng.polys if p is not None]).reducers
+        assert list(eng.active.values()) == fresh
+        eng.checks += 1
+        return eng.active.values()
+
+
+class FreshReducersEngine(_Engine):
+    """The engine, asserting before every reduction that the records of
+    its active set are the reducers that a fresh :class:`_ReducerSet` of
+    its live elements would give, in the same order.  ``checks`` counts
+    the reductions compared.  Kept as an oracle for the records that
+    ``_insert`` builds once and ``_retire`` drops."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checks = 0
+        self.reducers = _CheckedReducers(self)

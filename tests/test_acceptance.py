@@ -37,6 +37,7 @@ from ncgb.overlap import spoly1, spoly2
 
 from conftest import (
     EagerEngine,
+    FreshReducersEngine,
     SetKeyedEngine,
     discarded_pair_polys,
     make_ring,
@@ -531,6 +532,52 @@ def test_word_ranges_decide_as_one_queue_entry_per_pair():
         runs += 1
     assert runs >= 90 and constants >= 30
     assert cut > 0
+    _elapsed_under(120, t0)
+
+
+def test_live_reducers_equal_a_fresh_preparation():
+    """Before every reduction the engine's active records are the
+    reducers a fresh ``_ReducerSet`` of its live elements gives
+    (``FreshReducersEngine``), on the acceptance examples and on random
+    ideals over Z, Q and Z/7 in two orderings; the runs equal the plain
+    engine's."""
+    t0 = time.monotonic()
+
+    def run(ring, gens, bound, tail):
+        checked = FreshReducersEngine(ring, bound, True, tail, True)
+        res = checked.run(gens)
+        return checked.checks, res
+
+    checks = 0
+    for label, build in EXAMPLES:
+        ring, gens, res, bound, _ = build()
+        n, got = run(ring, gens, bound, label not in _TAIL_OFF)
+        assert got.stats == res.stats, label
+        assert [g.terms for g in got.basis] == [g.terms for g in res.basis], label
+        checks += n
+    on_examples = checks
+    assert on_examples > 0
+
+    rng = random.Random(20261020)
+    for domain in (ZZ, QQ, residue_domain(7)):
+        for i in range(40):
+            nletters = rng.randint(1, 3)
+            names = "abc"[:nletters]
+            kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+            ring = make_ring(domain, names, kind, list(names))
+            gens = random_polys(
+                ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6
+            )
+            if not gens:
+                continue
+            bound = rng.randint(3, 6)
+            tail = i % 4 < 2
+            n, got = run(ring, gens, bound, tail)
+            plain = buchberger(ring, gens, bound, tail_reduce=tail, test_mode=True)
+            assert got.stats == plain.stats, (domain, i)
+            assert [g.terms for g in got.basis] == [g.terms for g in plain.basis], (domain, i)
+            checks += n
+    assert checks > on_examples
     _elapsed_under(120, t0)
 
 

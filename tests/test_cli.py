@@ -494,6 +494,27 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert code == 0 and out.splitlines()[-1] == "flag: conjecturally-complete"
 
 
+def test_cli_main_repeated_in_one_process_carries_no_flag_over(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh, so
+    # the same flags print the same bytes, and no flag outlives its call
+    from ncgb.cli import _parser
+
+    flag_sets = [("--stats",), ("--monomials", "1"), ("--output", "json"), ()]
+    seen = {}
+    for flags in flag_sets * 3:
+        code, out, err = run_cli(tmp_path, capsys, INTRO, *flags)
+        assert code == 0 and err == ""
+        assert seen.setdefault(flags, out) == out, flags
+        counters = [line for line in out.splitlines() if line.startswith("pairs_created=")]
+        assert bool(counters) == (flags == ("--stats",)), flags
+        assert ("monomials: " in out) == (flags == ("--monomials", "1")), flags
+        assert out.startswith("{") == (flags == ("--output", "json")), flags
+    assert seen[()] == "\n".join(
+        ["3*y", "2*x", "y*x", "x*y", "flag: conjecturally-complete", ""]
+    )
+    assert _parser.cache_info().misses == 1
+
+
 def test_cli_flag_overrides_job_option(tmp_path, capsys):
     # noreduce leaves tails as the completion produced them; --reduce
     # forces the final minimisation pass back on

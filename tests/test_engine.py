@@ -28,6 +28,7 @@ from ncgb.coeffring import residue_domain
 from ncgb.engine import _Engine, _PairMeta, _ReducerSet
 
 from conftest import (
+    interreduce_preparing_every_call,
     make_ring,
     poly,
     polys,
@@ -380,6 +381,27 @@ def test_interreduce_is_idempotent(domain):
             assert normal_form(tail, once, tail_reduce=True).terms == tail.terms
         changed += [p.terms for p in once] != [p.terms for p in interreduce(basis, False)]
     assert changed > 20, changed
+
+
+@pytest.mark.parametrize(
+    "domain", [ZZ, QQ, residue_domain(7), residue_domain(30)], ids=["Z", "Q", "Z/7", "Z/30"]
+)
+def test_tail_pass_prepares_the_basis_once(domain):
+    # preparing the kept elements once and replacing each reduced one's
+    # record gives, term for term, the pass that prepares them per call
+    ring = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
+    rng = random.Random(20261020)
+    several_changed = 0
+    for _ in range(150):
+        basis = random_polys(ring, rng, ngens=5, maxterms=5, maxlen=2, maxcoeff=9)
+        got = interreduce(basis, tail_reduce=True)
+        want = interreduce_preparing_every_call(basis, tail_reduce=True)
+        assert [p.terms for p in got] == [p.terms for p in want]
+        # a stale record can only show once an element's tail changed
+        # before a later element is reduced
+        raw = interreduce(basis, tail_reduce=False)
+        several_changed += sum(p.terms != q.terms for p, q in zip(got, raw)) >= 2
+    assert several_changed > 0, several_changed
 
 
 def test_completeness_flag_threshold():
