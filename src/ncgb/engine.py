@@ -200,28 +200,24 @@ def normal_form(
 # only strings in the memo
 _LEAF = "leaf"  # no leading word occurs in it
 _FRONTIER = "frontier"  # its first reducer has a non-unit leading coefficient
+_MEMO_BUDGET = 14_000  # the memo's terms past which next_pair clears it
 
 
 class _WordForms:
-    """Reduction to zero through memoised forms of single words.
-
-    A word is *unit-led* when the first reducer of ``prepared`` whose
-    leading word occurs in it has a unit leading coefficient, *frontier*
-    when that coefficient is not a unit, and a *leaf* when no leading word
-    occurs in it.  A unit-led word's step in :func:`normal_form` (that
-    reducer, at the leftmost occurrence) succeeds for every nonzero
-    coefficient with remainder 0, so it is linear: ``c*w`` becomes
-    ``-c*a * sum(c_u * l*u*r)`` over the reducer's tail terms ``c_u*u``,
-    where ``a`` is one over the leading coefficient.  The memo maps a
-    unit-led word to its expansion into leaf and frontier words, stored
-    flat as ``(word, coeff, word, coeff, ...)`` with nonzero coefficients,
-    and a leaf or frontier word to its sentinel.  Over a field every
-    nonzero coefficient is a unit, so there are no frontier words.
+    """Reduction to zero through memoised forms of single words; the
+    unit-led, frontier and leaf words of ``prepared``'s reducers and the
+    proof are in :func:`verify_strong_basis`.  A unit-led word's step is
+    linear: ``c*w`` becomes ``-c*a * sum(c_u * l*u*r)`` over its first
+    reducer's tail terms ``c_u*u``, ``a`` one over the leading coefficient.
+    The memo maps a unit-led word to its expansion into leaf and frontier
+    words, flat as ``(word, coeff, word, coeff, ...)`` with nonzero
+    coefficients, and a leaf or frontier word to its sentinel; ``size``
+    counts the terms it holds.
     """
 
     __slots__ = (
-        "antikey", "step", "modulus", "reducers", "rules", "mixed", "per_pair", "pack",
-        "memo", "frontier",
+        "antikey", "step", "modulus", "reducers", "rules", "mixed", "pack",
+        "memo", "size", "frontier",
     )
 
     def __init__(self, prepared: _ReducerSet):
@@ -246,12 +242,11 @@ class _WordForms:
                     tail = [(u, c % self.modulus) for u, c in tail]
             self.rules.append((lmg, lg, tail))
         self.mixed = any(tail is None for _, _, tail in self.rules)
-        self.per_pair = self.mixed and self.modulus is None
-        # a memo cleared after every pair keeps its forms in lists: CPython
-        # keeps up to 2000 freed tuples of each length below 20 for reuse,
-        # which raised the peak RSS of the skew ideal over Z at d=9 by 1.3 MB
-        self.pack = list if self.per_pair else tuple
+        # lists, not tuples, when the memo is cleared often: CPython keeps up to 2000
+        # freed tuples per length below 20, which raised skew over Z's d=9 RSS by 1.3 MB
+        self.pack = list if self.mixed else tuple
         self.memo: dict[Word, tuple | list | str] = {}
+        self.size = 0
         self.frontier: dict[Word, tuple] = {}
 
     def form(self, w: Word) -> tuple | list | str:
@@ -261,7 +256,7 @@ class _WordForms:
         nf = memo.get(w)
         if nf is not None:
             return nf
-        rules, modulus, pack = self.rules, self.modulus, self.pack
+        rules, pack = self.rules, self.pack
         pending: dict[Word, list] = {}
         stack = [w]
         while stack:
@@ -293,35 +288,44 @@ class _WordForms:
                 continue
             # every l*u*r of v's reducer is in the memo by now
             stack.pop()
-            acc: dict[Word, object] = {}
-            get = acc.get
-            for x, k in parts:
-                fx = memo[x]
-                if fx.__class__ is not str:
-                    it = iter(fx)
-                    for y, cy in zip(it, it):
-                        acc[y] = get(y, 0) + k * cy
-                else:
-                    acc[x] = get(x, 0) + k
-            if modulus is not None:
-                acc = {y: c % modulus for y, c in acc.items()}
-            memo[v] = pack(itertools.chain.from_iterable(t for t in acc.items() if t[1]))
+            nf = memo[v] = pack(self._combine(parts))
+            self.size += len(nf) >> 1
         return memo[w]
 
+    def _combine(self, parts) -> itertools.chain | tuple:
+        """``sum(k * form(x))`` over ``parts``, flat, without zero terms."""
+        memo = self.memo
+        acc: dict[Word, object] = {}
+        get = acc.get
+        for x, k in parts:
+            fx = memo[x]
+            if fx.__class__ is not str:
+                it = iter(fx)
+                for y, cy in zip(it, it):
+                    acc[y] = get(y, 0) + k * cy
+            else:
+                acc[x] = get(x, 0) + k
+        if not acc:
+            return ()
+        if self.modulus is not None:
+            modulus = self.modulus
+            acc = {y: c % modulus for y, c in acc.items()}
+        return itertools.chain.from_iterable(t for t in acc.items() if t[1])
+
     def next_pair(self) -> None:
-        """End a basis pair: over Z with a non-unit reducer the memo is
-        kept for one pair only (see :func:`verify_strong_basis`)."""
-        if self.per_pair:
+        """End a basis pair: clear the memo once its size passes
+        ``_MEMO_BUDGET`` (see :func:`verify_strong_basis`)."""
+        if self.size > _MEMO_BUDGET:
             self.memo.clear()
+            self.size = 0
 
     def reduces_to_zero(self, p: Polynomial) -> bool:
         """Does :func:`normal_form` reduce ``p`` to zero?
 
         Sums ``c * form(w)`` over the terms of ``p``, then steps the
-        frontier words of the sum in descending order, spreading each
-        step's tail words through the memo again.  False as soon as a
-        frontier word has no step; otherwise True when every leaf
-        coefficient is zero.
+        frontier words of the sum in descending order, adding each step's
+        precomputed spread.  False as soon as a frontier word has no step;
+        otherwise True when every leaf coefficient is zero.
         """
         memo, form = self.memo, self.form
         acc: dict[Word, object] = {}
@@ -347,17 +351,26 @@ class _WordForms:
 
     def _frontier(self, v: Word) -> tuple:
         """``(antikey(v), v, steps)`` for a frontier word ``v``, kept for
-        the call: ``steps`` lists every reducer whose leading word occurs
-        in ``v``, in order, as ``(l, r, divisor, tail)`` at the leftmost
-        occurrence ``v == l*LM*r``."""
+        the call: ``steps`` holds ``(divisor, spread)`` for each reducer
+        whose leading word occurs in ``v``, in order, up to the first with
+        a unit leading coefficient; ``spread`` is ``sum(-c_u * form(l*u*r))``
+        over its tail terms ``c_u*u`` at the leftmost occurrence ``v ==
+        l*LM*r``, flat as ``(word, coeff, is_frontier, ...)``: the memo that
+        classified the words may be cleared before the spread is used."""
         entry = self.frontier.get(v)
         if entry is None:
-            steps = []
-            for lmg, lg, div, gterms, _ in self.reducers:
-                if lg <= len(v):
-                    pos = v.find(lmg)
-                    if pos >= 0:
-                        steps.append((v[:pos], v[pos + lg:], div, gterms[1:]))
+            memo, steps = self.memo, []
+            for (lmg, lg, div, gterms, _), (_, _, tail) in zip(self.reducers, self.rules):
+                pos = v.find(lmg)
+                if pos >= 0:
+                    parts = [(v[:pos] + u + v[pos + lg:], -cu) for u, cu in gterms[1:]]
+                    for x, _ in parts:
+                        self.form(x)
+                    it = iter(self._combine(parts))
+                    spread = [(y, k, memo[y] is _FRONTIER) for y, k in zip(it, it)]
+                    steps.append((div, tuple(itertools.chain.from_iterable(spread))))
+                    if tail is not None:
+                        break
             entry = self.frontier[v] = (self.antikey(v), v, steps)
         return entry
 
@@ -365,45 +378,35 @@ class _WordForms:
         """Reduce the frontier words of ``acc``, each on ``heap`` once,
         largest first, with :func:`normal_form`'s rule: the first reducer
         whose step succeeds, at the leftmost occurrence, and a re-scan on
-        a nonzero remainder.  Leaves the leaf words in ``acc``; False when
-        a frontier word keeps a coefficient that no reducer steps."""
+        a nonzero remainder.  A step of quotient ``a`` adds ``a`` times its
+        spread.  Leaves the leaf words in ``acc``; False when a frontier
+        word keeps a coefficient that no reducer steps."""
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
-        memo, form, frontier = self.memo, self.form, self._frontier
-        step, modulus = self.step, self.modulus
+        frontier, step, modulus = self._frontier, self.step, self.modulus
         while heap:
             _, v, steps = heappop(heap)
             c = acc.pop(v)
             if modulus is not None:
                 c %= modulus
             while c:
-                for l, r, div, tail in steps:
+                for div, spread in steps:
                     hit = step(c, div)
                     if hit is not None:
                         break
                 else:
                     return False
                 a, c = hit
-                for u, cu in tail:
-                    x = l + u + r
-                    k = -a * cu
-                    f = memo.get(x)
-                    if f is None:
-                        f = form(x)
-                    if f.__class__ is not str:
-                        it = iter(f)
-                        terms = zip(it, it)
-                    else:
-                        terms = ((x, 1),)
-                    for y, cy in terms:
-                        old = acc.get(y)
-                        if old is not None:
-                            acc[y] = old + k * cy
-                            continue
-                        acc[y] = k * cy
-                        # every frontier word of acc is on the heap once
-                        if memo[y] is _FRONTIER:
-                            heappush(heap, frontier(y))
+                it = iter(spread)
+                for y, k, is_frontier in zip(it, it, it):
+                    old = acc.get(y)
+                    if old is not None:
+                        acc[y] = old + a * k
+                        continue
+                    acc[y] = a * k
+                    # every frontier word of acc is on the heap once
+                    if is_frontier:
+                        heappush(heap, frontier(y))
         return True
 
 
@@ -442,10 +445,12 @@ class _PairMeta:
     """Everything the engine knows about ordered ``(f, g)``: the product
     criterion's w-independent parts, ``g_needed`` (its G-pairs survive
     :func:`coeff_criterion`), the ``lcm`` and ``gcd`` of the leading
-    coefficients, and ``last``, the ``(level, w)`` of its last dequeued
-    second-type S-pair or None (see :meth:`_Engine._premise_ok`)."""
+    coefficients, ``last``, the ``(level, w)`` of its last dequeued
+    second-type S-pair or None (see :meth:`_Engine._premise_ok`), and
+    ``kept``, the product criterion's exceptions per length."""
 
-    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "lcm", "gcd", "last")
+    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "lcm", "gcd",
+                 "last", "kept")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
@@ -465,11 +470,12 @@ class _PairMeta:
         self.lcm = dom.lcm(cf, cg)
         self.gcd = dom.ext_gcd(cf, cg)[0]
         self.last: tuple[int, Word] | None = None
+        self.kept: dict[int, list[Word]] = {}
 
     def exceptions(self, k: int) -> list[Word]:
         """The connecting words of length ``k`` where the product
         criterion keeps the second-type S-pair, in bytes order, for a
-        ``coprime_no_overlap`` pair.
+        ``coprime_no_overlap`` pair; computed once per length.
 
         The criterion discards the pair at ``w`` unless some constraint
         ``(u, v)``, a pair of tail words of ``f`` and ``g``, has ``u·w·LM(g)
@@ -481,16 +487,18 @@ class _PairMeta:
         ``w[i] == p[i]`` below ``|p|`` and ``w[i] == w[i-|p|]`` above: ``w``
         is the first ``k`` letters of ``p`` repeated, one per constraint.
         """
-        lmf, lmg = self.lmf, self.lmg
-        out = set()
-        for u, v in self.constraints:
-            if len(u) == len(lmf):
-                continue
-            p = u[len(lmf):] if len(u) > len(lmf) else lmf[len(u):]
-            w = (p * (k // len(p) + 1))[:k]
-            if u + w + lmg == lmf + w + v:
-                out.add(w)
-        return sorted(out)
+        if k not in self.kept:
+            lmf, lmg = self.lmf, self.lmg
+            out = set()
+            for u, v in self.constraints:
+                if len(u) == len(lmf):
+                    continue
+                p = u[len(lmf):] if len(u) > len(lmf) else lmf[len(u):]
+                w = (p * (k // len(p) + 1))[:k]
+                if u + w + lmg == lmf + w + v:
+                    out.add(w)
+            self.kept[k] = sorted(out)
+        return self.kept[k]
 
 
 def _word(rank: int, k: int, n: int) -> Word:
@@ -1140,9 +1148,10 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     the bound, must reduce to zero.  Returns a list of failures
     (empty means the basis passed), each ``(kind, i, j, data)`` with
     ``data`` the placement ``(t, pos_i, pos_j)`` of a first-type pair or
-    the connecting word of a second-type one.  This routine deliberately
-    shares no pair-selection or criterion logic with the completion
-    engine: it enumerates everything and reduces.
+    the connecting word of a second-type one; a zero element has only zero
+    pairs and is skipped.  This routine deliberately shares no
+    pair-selection or criterion logic with the completion engine: it
+    enumerates everything and reduces.
 
     Every pair polynomial ``p`` is tested the same way over Q, Z/p, Z
     and composite Z/m (:class:`_WordForms`): the verdict is whether
@@ -1170,10 +1179,14 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
       frontier word comes from a larger word.  Popping frontier words in
       descending order, stepping each exactly as :func:`normal_form`
       does (the first reducer whose step succeeds, at the leftmost
-      occurrence, and a re-scan on a nonzero remainder) and spreading the
-      step's tail words through ``form`` again therefore gives each
-      frontier word the coefficient that full reduction gives it, and
-      each leaf word its final coefficient.
+      occurrence, and a re-scan on a nonzero remainder) and adding ``a``
+      times the step's *spread* ``sum(-c_u * form(l*u*r))`` for a step of
+      quotient ``a`` therefore gives each frontier word the coefficient
+      that full reduction gives it, and each leaf word its final one.
+      Spreads are computed once per call: ``a * sum(k) == sum(a * k)``
+      exactly over Z, and over Z/m coefficients are reduced when a word is
+      popped and when the sum is tested.  A word's steps stop at its first
+      reducer with a unit leading coefficient, which steps any nonzero one.
     * Full reduction is zero exactly when every frontier word's
       coefficient is stepped away and every leaf coefficient is zero.
       Lm-reduction applies the same steps as full reduction until the
@@ -1190,17 +1203,19 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     ideal that the reducers cannot step.
 
     Over a field there are no frontier words, so the test is one sum of
-    memoised forms.  The memo is kept for the whole call, except over Z
-    when a reducer has a non-unit leading coefficient: then it is
-    cleared after each basis pair ``(i, j)``: forms there expand into
-    frontier words as well as leaves, so they hold many small terms.
-    Kept for the whole call on the skew and torsion ideals at d=9, the
-    memo held 85,889 and 535,928 terms (298 for the skew ideal over Q)
-    of at most 27 and 38 bits, and the torsion run's peak RSS rose from
-    25.4 MB to 44.4 MB.  Over Z/m every coefficient is a residue below m.
+    memoised forms.  With a non-unit reducer forms expand into frontier
+    words as well as leaves and hold many small terms, so after a basis
+    pair the memo is cleared once it holds more than ``_MEMO_BUDGET``
+    terms.  Entries are not counted: counted, they clear the field memo
+    of the skew ideal over Q at d=9 (16,084 entries, 298 terms), which
+    took its check from 0.29 to 0.47 s.  The budget is from a sweep of
+    perfbench ``verify-zz`` (skew over Z at d=9, 2-vCPU Xeon, 6 s runs;
+    budget: wall s, peak RSS MB): 0: 0.82, 26.7; 4,000: 0.74, 26.6;
+    8,000: 0.65, 26.6; 14,000: 0.63, 26.6; 17,000: 0.63, 27.0;
+    unbounded: 0.48, 31.6.
     """
     failures: list[tuple] = []
-    n = len(basis)
+    live = [i for i, g in enumerate(basis) if g.terms]
     nletters = len(ring.alphabet)
 
     # Zero-testing does not depend on the reduction strategy (any maximal
@@ -1214,8 +1229,8 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     forms = _WordForms(_ReducerSet(ring, order))
     reduces_to_zero = forms.reduces_to_zero
 
-    for i in range(n):
-        for j in range(i, n):
+    for a, i in enumerate(live):
+        for j in live[a:]:
             f, g = basis[i], basis[j]
             lmf, lmg = f.leading_word(), g.leading_word()
             if lmf or lmg:
@@ -1236,8 +1251,8 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
                     failures.append(("G1", i, j, pl))
             forms.next_pair()
 
-    for i in range(n):
-        for j in range(n):
+    for i in live:
+        for j in live:
             f, g = basis[i], basis[j]
             base = len(f.leading_word()) + len(g.leading_word())
             monomials = len(f.terms) == 1 and len(g.terms) == 1

@@ -25,7 +25,8 @@ from ncgb import (
 )
 from ncgb.cli import parse_job
 from ncgb.coeffring import residue_domain
-from ncgb.engine import _Engine, _PairMeta, _ReducerSet
+from ncgb import engine
+from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms
 
 from conftest import (
     interreduce_preparing_every_call,
@@ -235,6 +236,7 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
         meta.coprime_no_overlap = True
         meta.lmf, meta.lmg = word(0, 3), word(0, 3)
         meta.constraints = []
+        meta.kept = {}
         for _ in range(rng.randint(1, 3)):
             # u starts with LM(f), or LM(f) with u, or they have one length
             u = rng.choice([meta.lmf + word(1, 3), meta.lmf[:rng.randint(0, len(meta.lmf))],
@@ -253,6 +255,7 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
                 if not product_criterion_holds(meta, bytes(t))
             ]
             assert meta.exceptions(k) == brute, (meta.lmf, meta.lmg, meta.constraints, k)
+            assert meta.exceptions(k) is meta.kept[k]  # computed once per length
             found += len(brute)
     assert found > 1000, found
 
@@ -455,6 +458,54 @@ TORSION = "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"
 COMMUTATOR = "y*x - 3*x*y - 3*z, z*x - 2*x*z + y, z*y - y*z - x"
 
 
+class _RecordedWordForms(_WordForms):
+    """The verifier's word forms, checked after every basis pair and kept
+    for :func:`_check_spreads`."""
+
+    __slots__ = ()
+    made: list = []
+
+    def __init__(self, prepared):
+        super().__init__(prepared)
+        self.made.append(self)
+
+    def next_pair(self):
+        super().next_pair()
+        assert self.size == sum(len(f) // 2 for f in self.memo.values() if f.__class__ is not str)
+        assert self.size <= engine._MEMO_BUDGET
+
+
+def _check_spreads(forms, ring):
+    """Every frontier word's steps, against a fresh :class:`_WordForms`:
+    one per reducer whose leading word occurs in it, in order, ending at the
+    first one with a unit leading coefficient, and each spread equal to
+    ``sum(-c_u * form(l*u*r))`` over that reducer's tail."""
+    prepared = _ReducerSet(ring, [])
+    prepared.reducers = forms.reducers
+    fresh = _WordForms(prepared)
+    modulus = ring.domain.modulus
+    for v, (_, _, steps) in forms.frontier.items():
+        want = []
+        for (lmg, lg, div, gterms, _), (_, _, tail) in zip(fresh.reducers, fresh.rules):
+            pos = v.find(lmg)
+            if pos < 0:
+                continue
+            spread = {}
+            for u, cu in gterms[1:]:
+                x = v[:pos] + u + v[pos + lg:]
+                f = fresh.form(x)
+                it = iter(f)
+                for y, cy in ((x, 1),) if f.__class__ is str else zip(it, it):
+                    spread[y] = spread.get(y, 0) - cu * cy
+            if modulus is not None:
+                spread = {y: c % modulus for y, c in spread.items()}
+            want.append((div, {y: (c, fresh.form(y) is _FRONTIER) for y, c in spread.items() if c}))
+            if tail is not None:
+                break
+        got = [(div, {y: (k, fr) for y, k, fr in zip(*[iter(sp)] * 3)}) for div, sp in steps]
+        assert got == want, v
+
+
 @pytest.mark.parametrize(
     "domain, kind, ranked, gens, complete",
     [
@@ -469,23 +520,73 @@ COMMUTATOR = "y*x - 3*x*y - 3*z, z*x - 2*x*z + y, z*y - y*z - x"
     ids=["Q-skew", "Z7-torsion", "Q-commutator", "Z-skew", "Z-torsion", "Z30-skew",
          "Z210-commutator"],
 )
-def test_field_verifier_agrees_with_lm_reduction(domain, kind, ranked, gens, complete):
+def test_field_verifier_agrees_with_lm_reduction(domain, kind, ranked, gens, complete, monkeypatch):
     # the verifier sums memoised word forms and steps only the frontier
     # words, those whose first reducer has a non-unit leading coefficient
     # (none over a field); over every domain, on the completed basis and
-    # on every basis with one element dropped, it must report exactly the
-    # failures that lm-reducing each pair reports
+    # on every basis with one element dropped, with the memo cleared after
+    # every basis pair and kept for the whole call, it must report exactly
+    # the failures that lm-reducing each pair reports
     d = 6
     r = make_ring(domain, "xyz", kind, list(ranked))
     basis = complete(r, polys(r, gens), d).basis
-    assert verify_strong_basis(r, basis, d) == verify_by_lm_reduction(r, basis, d) == []
-    broken = 0
-    for k in range(len(basis)):
-        dropped = basis[:k] + basis[k + 1:]
-        fails = verify_strong_basis(r, dropped, d)
-        assert fails == verify_by_lm_reduction(r, dropped, d), k
-        broken += bool(fails)
-    assert broken
+    want = [verify_by_lm_reduction(r, basis[:k] + basis[k + 1:], d) for k in range(len(basis))]
+    assert verify_by_lm_reduction(r, basis, d) == [] and any(want)
+    for budget in (0, float("inf")):
+        monkeypatch.setattr(engine, "_MEMO_BUDGET", budget)
+        assert verify_strong_basis(r, basis, d) == []
+        for k in range(len(basis)):
+            assert verify_strong_basis(r, basis[:k] + basis[k + 1:], d) == want[k], (budget, k)
+
+
+@pytest.mark.parametrize("domain", [ZZ, residue_domain(30)], ids=["Z", "Z30"])
+def test_verifier_word_forms_on_random_bases(domain, monkeypatch):
+    # random bases whose leading coefficients are units for about half the
+    # elements, none of them strong: the verdicts are lm-reduction's under
+    # every memo budget, the memo's counted size never passes the budget
+    # after a basis pair, and every cached frontier step is the one a
+    # fresh memo recomputes
+    monkeypatch.setattr(engine, "_WordForms", _RecordedWordForms)
+    rng = random.Random(20261019)
+    r = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
+    d = 6
+
+    def word(lo, hi):
+        return bytes(rng.randrange(3) for _ in range(rng.randint(lo, hi)))
+
+    mixed = 0
+    for _ in range(16):
+        basis = []
+        for _ in range(rng.randint(3, 4)):
+            lm = word(2, 3)
+            lc = rng.choice([1, -1]) if rng.random() < 0.5 else rng.choice([2, -3, 4, 5, 6, 10, 12])
+            tail = [(word(0, len(lm) - 1), rng.choice([1, -1, 2, -3, 5, 7, 12]))
+                    for _ in range(rng.randint(1, 3))]
+            basis.append(r.poly([(w, domain.coerce(c)) for w, c in [(lm, lc)] + tail]))
+        want = verify_by_lm_reduction(r, basis, d)
+        assert want
+        for budget in (0, 30, float("inf")):
+            monkeypatch.setattr(engine, "_MEMO_BUDGET", budget)
+            _RecordedWordForms.made.clear()
+            assert verify_strong_basis(r, basis, d) == want, (budget, [r.render(g) for g in basis])
+            (forms,) = _RecordedWordForms.made
+            _check_spreads(forms, r)
+        mixed += forms.size > 0 and len(forms.frontier) > 0
+    assert mixed >= 5, mixed
+
+
+def test_verifier_skips_zero_elements():
+    # a zero element has zero S- and G-polynomials: placed anywhere in a
+    # basis it leaves the failures unchanged, up to the shifted indices
+    r = make_ring(ZZ, "xy", DEG_LEFT_LEX, ["x", "y"])
+    zero = r.poly([])
+    assert verify_strong_basis(r, [zero], 3) == []
+    for basis in (polys(r, "2*x, 3*y"), buchberger(r, polys(r, "2*x, 3*y"), 3).basis):
+        want = verify_strong_basis(r, basis, 3)
+        for at in range(len(basis) + 1):
+            shift = [i + (i >= at) for i in range(len(basis))]
+            got = verify_strong_basis(r, basis[:at] + [zero] + basis[at:], 3)
+            assert got == [(kind, shift[i], shift[j], data) for kind, i, j, data in want], at
 
 
 # -- audit mode -------------------------------------------------------------------
