@@ -245,7 +245,10 @@ class _Parser:
         if bound_tok.kind != "ident" or bound_tok.value != "bound":
             self.fail("bound missing", bound_tok)
         self.next()
+        nat_tok = self.peek()
         bound = self.expect_nat("bound")
+        if bound < 1:
+            self.fail("bound must be at least 1", nat_tok)
         self.expect_punct(";")
 
         # weights are given in ranked order; the alphabet stores them in
@@ -389,8 +392,6 @@ def parse_job(text: str) -> Job:
     """Parse a complete job file.  Raises :class:`JobError` on bad input."""
     p = _Parser(_tokenize(text))
     ring, bound = p.parse_ring_decl()
-    if bound < 1:
-        p.fail("bound must be at least 1")
     p.bound = bound
     gens: list[Polynomial] = []
     options = {"reduce": True, "tail_reduce": True, "stats": False}

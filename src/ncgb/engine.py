@@ -518,6 +518,42 @@ def _rank(w: Word, n: int) -> int:
     return r
 
 
+def _avoiding(r: int, r_end: int, k: int, n: int, cuts: list[Word], lo: int, hi: int):
+    """Yield ``(cut_from, x, w)`` for each word ``w``, of rank ``x`` in
+    ``r .. r_end-1`` (length ``k``, bytes order), in which no pattern of
+    ``cuts`` occurs inside ``w[lo:hi]``, the words of ranks ``cut_from ..
+    x-1`` having been skipped; end with ``(cut_from, r_end, None)``.  A
+    word whose first occurrence ends at ``e`` is skipped with its subtree,
+    the words with prefix ``w[:e]``.  Each word is the last plus one with
+    carry, and only its slices ending past the changed position are looked
+    up (see :meth:`_Engine._walk`)."""
+    pats = set(cuts)
+    lens = sorted({len(q) for q in cuts})
+    wins = [(e - m, e) for e in range(lo + 1, hi + 1) for m in lens if m <= e - lo]
+    # the slices (start, end) that can hold a pattern, and those ending past p at p + 1
+    tails = [[x for x in wins if x[1] > q] for q in range(-1, k)]
+    w, p, cut_from = bytearray(_word(r, k, n)), -1, r
+    while r < r_end:
+        wb = bytes(w)
+        for s, e in tails[p + 1]:
+            if wb[s:e] in pats:
+                size = n ** (k - e)
+                r += size - r % size
+                p = e - 1
+                break
+        else:
+            yield cut_from, r, wb
+            r += 1
+            cut_from, p = r, k - 1
+        if r < r_end:
+            w[p + 1:] = bytes(k - 1 - p)
+            while w[p] == n - 1:
+                w[p] = 0
+                p -= 1
+            w[p] += 1
+    yield cut_from, r_end, None
+
+
 class _Engine:
     def __init__(
         self,
@@ -871,10 +907,21 @@ class _Engine:
         all of ``t`` and is not yet handled.
 
         So when the shortest prefix ``w[:e]`` that ends such an occurrence
-        exists, every word with that prefix is discarded: the walk counts
-        that subtree of ``n**(k-e)`` words (from the cursor, up to
-        ``r_end``) through :meth:`_cut`, in bulk.  Every other word goes
-        through :meth:`_process`.  An insertion can queue lighter pairs
+        exists, every word with that prefix is discarded: :func:`_avoiding`
+        skips that subtree of ``n**(k-e)`` words (from the cursor, up to
+        ``r_end``) and steps to the next word by adding one with carry at
+        ``e - 1``, or at ``k - 1`` after a survivor.  The prefix before the
+        last position the carry changed needs no new check: the old word
+        had no occurrence ending in it, since ``e`` was its first end.  So
+        only the ends past that position are looked up, in order, and the
+        first that closes an occurrence is the new word's ``e``.  Every
+        survivor goes through :meth:`_process`, and the run of subtrees
+        skipped before it through one :meth:`_cut`, called just before (the
+        last run as the walk ends).  Between two survivors only the test
+        mode's audit reads ``queued``, ``peak_queue_size`` (raised only by a
+        push) or a cursor ``last``, and it reads premises on lower levels,
+        already at or under their cursors; so all three are as after one
+        cut per subtree.  An insertion can queue lighter pairs
         and retire elements, so after one the rest of the range is pushed
         back under its next word's reserved number; the words are then
         dequeued in the order and with the decisions of one queue entry
@@ -893,35 +940,26 @@ class _Engine:
         lo = 0 if meta.lmf else 1
         hi = k if meta.lmg else k - 1
         inserted = self.stats.basis_insertions
-        r0 = r
-        while r < r_end:
-            w = _word(r, k, n)
-            e = k + 1
-            for p in cuts:
-                pos = w.find(p, lo, hi)
-                if pos >= 0 and pos + len(p) < e:
-                    e = pos + len(p)
-            if e <= k:
-                size = n ** (k - e)
-                stop = min(r - r % size + size, r_end)
-                self._cut(lvl, kind, a, b, r, stop)
-                r = stop
-                continue
+        for cut_from, x, w in _avoiding(r, r_end, k, n, cuts, lo, hi):
+            if cut_from < x:
+                self._cut(lvl, kind, a, b, cut_from, x)
+            if w is None:
+                return
             self.queued -= 1
-            r += 1
             self._process(kind, a, b, w)
             if self.unit:
                 return
             if self.stats.basis_insertions != inserted:
-                if r < r_end:
-                    heapq.heappush(self.heap, (lvl, seq + r - r0, kind, a, b, (r, r_end)))
+                if x + 1 < r_end:
+                    heapq.heappush(self.heap, (lvl, seq + x + 1 - r, kind, a, b, (x + 1, r_end)))
                 return
 
     def _cut(self, lvl: int, kind: str, a: int, b: int, r: int, stop: int) -> None:
-        """Count the words of ranks ``r .. stop-1`` of a range as chain
-        discards, as :meth:`_process` would one by one (see :meth:`_walk`).
-        In test mode each is logged, and checked with
-        :meth:`_chain_discard`, so that the audit tests the lemma."""
+        """Count the words of ranks ``r .. stop-1``, a run of chain-cut
+        subtrees, as chain discards, and move an S2 family's cursor to the
+        last, as :meth:`_process` would one by one (see :meth:`_walk`).  In
+        test mode each is logged and checked with :meth:`_chain_discard`,
+        so that the audit tests the lemma."""
         meta = self._meta(a, b)
         lmf, lmg = meta.lmf, meta.lmg
         k = lvl - len(lmf) - len(lmg)

@@ -321,6 +321,20 @@ def product_criterion_holds(meta, w):
     )
 
 
+def first_cut_end(w, cuts, lo, hi):
+    """The end of the shortest prefix of ``w`` that ends an occurrence of
+    a pattern of ``cuts`` starting at or past ``lo`` and ending at or
+    before ``hi``, or None: the leftmost occurrence of each pattern, found
+    with ``bytes.find``, ends first.  Kept as an oracle for the
+    incremental check of :func:`ncgb.engine._avoiding`."""
+    e = len(w) + 1
+    for p in cuts:
+        pos = w.find(p, lo, hi)
+        if pos >= 0 and pos + len(p) < e:
+            e = pos + len(p)
+    return e if e <= len(w) else None
+
+
 class EagerEngine(_Engine):
     """The engine with one queue entry per second-type pair: the product
     criterion tested word by word with :func:`product_criterion_holds`,

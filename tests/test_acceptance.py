@@ -492,7 +492,9 @@ def test_word_ranges_decide_as_one_queue_entry_per_pair():
     closed-form product criterion, give the run of one queue entry per
     pair (``EagerEngine``): the same ``Stats``, bases, discard and
     cofactor logs, on the acceptance examples and on random ideals over
-    Z in two orderings, some with a constant generator."""
+    Z in two orderings, some with a constant generator.  Each is also run
+    outside test mode, where no audit checks the chain cuts word by word,
+    and gives the eager engine's ``Stats`` and basis there too."""
     t0 = time.monotonic()
 
     def compare(label, ring, gens, bound, tail, lazy):
@@ -501,6 +503,11 @@ def test_word_ranges_decide_as_one_queue_entry_per_pair():
         assert [g.terms for g in lazy.basis] == [g.terms for g in eager.basis], label
         assert lazy.discard_log == eager.discard_log, label
         assert lazy.cofactor_log == eager.cofactor_log, label
+        plain = buchberger(ring, gens, bound, tail_reduce=tail)
+        eager = EagerEngine(ring, bound, True, tail, False).run(gens)
+        assert plain.discard_log is None and eager.discard_log is None, label
+        assert plain.stats == eager.stats == lazy.stats, label
+        assert [g.terms for g in plain.basis] == [g.terms for g in eager.basis], label
         return lazy.stats.pairs_discarded_chain
 
     cut = 0

@@ -76,7 +76,7 @@ def test_parse_job_multiple_ideal_statements():
         ("ring Z <x> deglex(x);", "line 1 col 21: bound missing"),
         ("ring Z <x> deglex(x) bound 3;\noption frobnicate;", "line 2 col 8: unknown option 'frobnicate'"),
         ("ring Z <x> deglex(x) bound 3;\nideal x^-2;", "line 2 col 9: negative exponent"),
-        ("ring Z <x> deglex(x) bound 0;\nideal x;", "line 2 col 1: bound must be at least 1"),
+        ("ring Z <x> deglex(x) bound 0;\nideal x;", "line 1 col 28: bound must be at least 1"),
         ("ring Z <x> deglex(x) bound 3;\nideal x @;", "line 2 col 9: unexpected character '@'"),
         ("ring Z <x,y> wdeglex(1) (x>y) bound 3;\nideal x;", "line 1 col 14: one weight per variable required"),
         ("ring Zmod 1 <x> deglex(x) bound 3;\nideal x;", "line 1 col 11: modulus must be at least 2"),

@@ -29,6 +29,7 @@ from ncgb import engine
 from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms
 
 from conftest import (
+    first_cut_end,
     interreduce_preparing_every_call,
     make_ring,
     poly,
@@ -258,6 +259,76 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
             assert meta.exceptions(k) is meta.kept[k]  # computed once per length
             found += len(brute)
     assert found > 1000, found
+
+
+def _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen):
+    """The decisions of a range rebuilt word by word from its rank and
+    checked with :func:`first_cut_end`: ``("keep", x, w)`` per survivor
+    and ``("cut", from, to)`` per run of cut subtrees.  ``seen`` counts
+    the subtrees entered mid-way and those cut short by ``r_end``."""
+    out = []
+    while r < r_end:
+        w = engine._word(r, k, n)
+        e = first_cut_end(w, cuts, lo, hi)
+        if e is None:
+            out.append(("keep", r, w))
+            r += 1
+            continue
+        size = n ** (k - e)
+        stop = min(r - r % size + size, r_end)
+        seen["mid"] += r % size != 0
+        seen["short"] += stop < r - r % size + size
+        if out and out[-1][0] == "cut":
+            out[-1] = ("cut", out[-1][1], stop)
+        else:
+            out.append(("cut", r, stop))
+        r = stop
+    return out
+
+
+def _walk_decisions(walk):
+    out = []
+    for cut_from, x, w in walk:
+        if cut_from < x:
+            out.append(("cut", cut_from, x))
+        if w is not None:
+            out.append(("keep", x, w))
+    return out
+
+
+def test_connecting_word_walk_decides_as_find_per_word():
+    # engine._avoiding against a bytes.find per pattern and word, on random
+    # pattern sets, alphabets of one to three letters, k = 0..6, both
+    # bounds of the occurrence window, and ranges resumed after a simulated
+    # insertion with one more pattern
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(["mid", "short", "n1", "k0", "lo1", "hi", "resumed"], 0)
+    for _ in range(3000):
+        n, k = rng.randint(1, 3), rng.randint(0, 6)
+        lo, hi = rng.choice([(0, k), (1, k), (0, k - 1), (1, k - 1)])
+
+        def pattern():
+            return bytes(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+
+        cuts = list({pattern() for _ in range(rng.randint(0, 4))})
+        r = rng.randrange(n**k)
+        r_end = rng.randint(r + 1, n**k)
+        got = _walk_decisions(engine._avoiding(r, r_end, k, n, cuts, lo, hi))
+        assert got == _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen), (n, k, cuts, lo, hi, r)
+        seen["n1"] += n == 1 and bool(cuts)
+        seen["k0"] += k == 0
+        seen["lo1"] += lo == 1 and any(d[0] == "cut" for d in got)
+        seen["hi"] += hi == k - 1 and any(d[0] == "cut" for d in got)
+        keeps = [d[1] for d in got if d[0] == "keep"]
+        if keeps and keeps[0] + 1 < r_end:
+            # an insertion after the first survivor: the rest of the range
+            # is walked again, with one more pattern
+            x, more = keeps[0], cuts + [pattern()]
+            mid = seen["mid"]
+            rest = _walk_decisions(engine._avoiding(x + 1, r_end, k, n, more, lo, hi))
+            assert rest == _walk_by_find(x + 1, r_end, k, n, more, lo, hi, seen)
+            seen["resumed"] += seen["mid"] > mid
+    assert min(seen.values()) >= 20, seen
 
 
 def test_pair_replacement_is_unimodular():
