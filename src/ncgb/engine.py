@@ -96,20 +96,17 @@ def _reducer(dom, g: Polynomial) -> tuple:
 
 
 class _ReducerSet:
-    """A basis prepared for repeated :func:`normal_form` calls: the
-    domain's division step, picked once, and one :func:`_reducer` record
-    per nonzero element, in order.  ``reducers`` may be any iterable of
-    records; the engine's is a live view of its active set.
+    """A basis prepared for repeated :func:`normal_form` calls: one
+    :func:`_reducer` record per nonzero element, in order.  ``reducers``
+    may be any iterable of records; the engine's is a live view of its
+    active set.
     """
 
-    __slots__ = ("ring", "step", "modulus", "reducers")
+    __slots__ = ("ring", "reducers")
 
     def __init__(self, ring: FreeAlgebra, basis):
-        dom = ring.domain
         self.ring = ring
-        self.step = dom.step
-        self.modulus = dom.modulus
-        self.reducers = [_reducer(dom, g) for g in basis if g.terms]
+        self.reducers = [_reducer(ring.domain, g) for g in basis if g.terms]
 
 
 def normal_form(
@@ -132,8 +129,7 @@ def normal_form(
     heappush, heappop = heapq.heappush, heapq.heappop
 
     prepared = basis if isinstance(basis, _ReducerSet) else _ReducerSet(ring, basis)
-    step = prepared.step
-    modulus = prepared.modulus
+    step, modulus = prepared.ring.domain.step, prepared.ring.domain.modulus
     reducers = prepared.reducers
 
     # coefficient accumulator plus a lazy max-heap of words; stale heap
@@ -216,15 +212,12 @@ class _WordForms:
     """
 
     __slots__ = (
-        "antikey", "step", "modulus", "reducers", "rules", "mixed", "pack",
-        "memo", "size", "frontier",
+        "antikey", "domain", "reducers", "rules", "mixed", "pack", "memo", "size", "frontier",
     )
 
     def __init__(self, prepared: _ReducerSet):
-        one = prepared.ring.domain.one
+        dom = self.domain = prepared.ring.domain
         self.antikey = prepared.ring.word_antikey
-        self.step = prepared.step
-        self.modulus = prepared.modulus
         self.reducers = prepared.reducers
         # per reducer: its leading word, and for a unit leading coefficient
         # lc the terms (u, -c_u/lc) of the multiple of its tail that a
@@ -233,13 +226,13 @@ class _WordForms:
         # (over Z the nearest quotient of 1 by it is 0).
         self.rules = []
         for lmg, lg, div, gterms, _ in prepared.reducers:
-            hit = prepared.step(one, div)
+            hit = dom.step(dom.one, div)
             if hit is None:
                 tail = None
             else:
                 tail = [(u, -hit[0] * cu) for u, cu in gterms[1:]]
-                if self.modulus is not None:
-                    tail = [(u, c % self.modulus) for u, c in tail]
+                if dom.modulus is not None:
+                    tail = [(u, c % dom.modulus) for u, c in tail]
             self.rules.append((lmg, lg, tail))
         self.mixed = any(tail is None for _, _, tail in self.rules)
         # lists, not tuples, when the memo is cleared often: CPython keeps up to 2000
@@ -307,8 +300,8 @@ class _WordForms:
                 acc[x] = get(x, 0) + k
         if not acc:
             return ()
-        if self.modulus is not None:
-            modulus = self.modulus
+        modulus = self.domain.modulus
+        if modulus is not None:
             acc = {y: c % modulus for y, c in acc.items()}
         return itertools.chain.from_iterable(t for t in acc.items() if t[1])
 
@@ -344,7 +337,7 @@ class _WordForms:
             heap = [self._frontier(y) for y in acc if memo[y] is _FRONTIER]
             if heap and not self._step_frontier(acc, heap):
                 return False
-        modulus = self.modulus
+        modulus = self.domain.modulus
         if modulus is None:
             return not any(acc.values())
         return not any(c % modulus for c in acc.values())
@@ -383,7 +376,7 @@ class _WordForms:
         word keeps a coefficient that no reducer steps."""
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
-        frontier, step, modulus = self._frontier, self.step, self.modulus
+        frontier, step, modulus = self._frontier, self.domain.step, self.domain.modulus
         while heap:
             _, v, steps = heappop(heap)
             c = acc.pop(v)
@@ -442,24 +435,26 @@ def _first_type(u: Word, v: Word) -> list[tuple[Word, int, int]]:
 # ---------------------------------------------------------------------------
 
 class _PairMeta:
-    """Everything the engine knows about ordered ``(f, g)``: the product
-    criterion's w-independent parts, ``g_needed`` (its G-pairs survive
-    :func:`coeff_criterion`), the ``lcm`` and ``gcd`` of the leading
-    coefficients, ``last``, the ``(level, w)`` of its last dequeued
+    """Everything the engine knows about ordered ``(f, g)`` over a ring:
+    the product criterion's w-independent parts, ``g_needed`` (its
+    G-pairs survive :func:`coeff_criterion`), its ``cofactors`` ``(a_f,
+    a_g, b_f, b_g)`` from :func:`s_cofactors` and :func:`g_cofactors`,
+    the ``lcm`` ``a_f*LC(f)`` and the ``gcd`` of the leading coefficients
+    they give, ``last``, the ``(level, w)`` of its last dequeued
     second-type S-pair or None (see :meth:`_Engine._premise_ok`), and
     ``kept``, the product criterion's exceptions per length."""
 
-    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "lcm", "gcd",
-                 "last", "kept")
+    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "cofactors",
+                 "lcm", "gcd", "last", "kept")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
         lmf, lmg = f.leading_word(), g.leading_word()
         cf, cg = f.leading_coeff(), g.leading_coeff()
         self.lmf, self.lmg = lmf, lmg
-        cond1 = dom.coprime(cf, cg)
-        cond2 = not lmf or not lmg or not overlaps(lmf, lmg)
-        self.coprime_no_overlap = cond1 and cond2
+        self.coprime_no_overlap = dom.coprime(cf, cg) and (
+            not lmf or not lmg or not overlaps(lmf, lmg)
+        )
         self.constraints: list[tuple[Word, Word]] = []
         if self.coprime_no_overlap:
             for u, _ in f.terms[1:]:
@@ -467,8 +462,10 @@ class _PairMeta:
                     if len(u) + len(lmg) == len(lmf) + len(v):
                         self.constraints.append((u, v))
         self.g_needed = not coeff_criterion(f, g)
-        self.lcm = dom.lcm(cf, cg)
-        self.gcd = dom.ext_gcd(cf, cg)[0]
+        af, ag = s_cofactors(dom, cf, cg)
+        bf, bg, self.gcd = g_cofactors(dom, cf, cg)
+        self.cofactors = (af, ag, bf, bg)
+        self.lcm = af * cf
         self.last: tuple[int, Word] | None = None
         self.kept: dict[int, list[Word]] = {}
 
@@ -574,12 +571,12 @@ class _Engine:
         self.tail_reduce = tail_reduce
         self.field_mode = dom.is_field
 
-        self.polys: list[Polynomial | None] = []
-        # index -> _reducer record of each active element; reductions read a live view
+        # index -> _reducer record of each active element, the only store of
+        # elements: an index is its element's insertion count, and a retired
+        # one is absent; reductions read a live view
         self.active: dict[int, tuple] = {}
         self.reducers = _ReducerSet(ring, ())
         self.reducers.reducers = self.active.values()
-        self.lm_index: dict[Word, int] = {}
         # queued pairs (weight, seq, kind, i, j, data): the weight is the
         # length of the common word; data is the placement (t, pi, pj) of a
         # first-type pair, the word ranks (r, r_end) of a range of
@@ -610,18 +607,10 @@ class _Engine:
         if self.queued > self.stats.peak_queue_size:
             self.stats.peak_queue_size = self.queued
 
-    def _log_cofactors(self, cf, cg) -> None:
-        # gcd cofactors only make sense away from fields
-        if self.cofactor_log is not None and not self.field_mode:
-            dom = self.ring.domain
-            af, ag = s_cofactors(dom, cf, cg)
-            bf, bg, _ = g_cofactors(dom, cf, cg)
-            self.cofactor_log.append((af, ag, bf, bg))
-
     def _meta(self, a: int, b: int) -> _PairMeta:
         m = self.meta.get((a, b))
         if m is None:
-            m = _PairMeta(self.polys[a], self.polys[b])
+            m = _PairMeta(self.active[a][4], self.active[b][4])
             self.meta[(a, b)] = m
         return m
 
@@ -668,9 +657,9 @@ class _Engine:
         common word ``LM(a)·w·LM(b)`` has length ``lvl``: the S-pairs
         the product criterion keeps, then the G-pairs the coefficient
         criterion keeps, each as word ranges in bytes order."""
-        f, g = self.polys[a], self.polys[b]
-        if f is None or g is None:
+        if a not in self.active or b not in self.active:
             return
+        f, g = self.active[a][4], self.active[b][4]
         meta = self._meta(a, b)
         k = lvl - len(meta.lmf) - len(meta.lmg)
         nletters = len(self.ring.alphabet)
@@ -773,8 +762,7 @@ class _Engine:
     # -- insertion ----------------------------------------------------------
 
     def _retire(self, k: int) -> None:
-        self.polys[k] = None
-        del self.lm_index[self.active.pop(k)[0]]
+        del self.active[k]
 
     def _absorb(self, raw: Polynomial) -> bool:
         """Reduce ``raw`` and insert the rest; False if it reduces to zero."""
@@ -799,13 +787,16 @@ class _Engine:
                 self.buckets.clear()
                 self.queued = 0
                 return
-            e = self.lm_index.get(lm)
+            e = next((k for k, rec in self.active.items() if rec[0] == lm), None)
             if e is None:
                 break
             # same leading word: the aligned first-type pair is a unimodular
             # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner
-            fe = self.polys[e]
-            self._log_cofactors(fe.leading_coeff(), lc)
+            fe = self.active[e][4]
+            if self.cofactor_log is not None and not self.field_mode:
+                af, ag = s_cofactors(dom, fe.leading_coeff(), lc)
+                bf, bg, _ = g_cofactors(dom, fe.leading_coeff(), lc)
+                self.cofactor_log.append((af, ag, bf, bg))
             sp, gp = spoly1(fe, h, lm, 0, 0)
             self._retire(e)
             if not sp.is_zero:
@@ -828,30 +819,38 @@ class _Engine:
             self._retire(k)
             self._push(lk, "P", -1, -1, p)
 
-        n = len(self.polys)
-        self.polys.append(h)
+        n = self.stats.basis_insertions
         self.active[n] = _reducer(dom, h)
-        self.lm_index[lm] = n
         self.stats.basis_insertions += 1
         self.insertion_log.append((len(lm), h))
         self._register(n)
 
     # -- pair processing ----------------------------------------------------
 
-    def _build_pair_poly(self, kind: str, f: Polynomial, g: Polynomial,
+    def _build_pair_poly(self, kind: str, i: int, j: int, f: Polynomial, g: Polynomial,
                          t: Word, pi: int, pj: int) -> Polynomial:
-        gcd = kind in (G1, G2)
-        if not gcd:
-            self._log_cofactors(f.leading_coeff(), g.leading_coeff())
-        return pair_poly(f, g, t, pi, pj, gcd)
+        """The pair polynomial of elements ``i`` and ``j``, ``f`` and ``g``,
+        placed on ``t``, with the cofactors of their :class:`_PairMeta`
+        (over a field, the S-cofactors of the leading coefficients); an
+        S-pair's cofactors are logged."""
+        if self.field_mode:
+            dom = self.ring.domain
+            af, ag = s_cofactors(dom, f.leading_coeff(), g.leading_coeff())
+            return pair_poly(f, g, t, pi, pj, af, dom.neg(ag))
+        cofactors = self._meta(i, j).cofactors
+        if kind in (G1, G2):
+            return pair_poly(f, g, t, pi, pj, cofactors[2], cofactors[3])
+        if self.cofactor_log is not None:
+            self.cofactor_log.append(cofactors)
+        return pair_poly(f, g, t, pi, pj, cofactors[0], -cofactors[1])
 
     def _process(self, kind: str, i: int, j: int, data) -> None:
         if kind == "P":
             self._absorb(data)
             return
-        f, g = self.polys[i], self.polys[j]
-        if f is None or g is None:
+        if i not in self.active or j not in self.active:
             return
+        f, g = self.active[i][4], self.active[j][4]
 
         # the placement: LM(f) and LM(g) occur in the common word t at pi
         # and pj; a second-type pair is placed on LM(f)*w*LM(g)
@@ -867,7 +866,7 @@ class _Engine:
             if self.discard_log is not None:
                 self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            if not self._absorb(self._build_pair_poly(kind, f, g, t, pi, pj)):
+            if not self._absorb(self._build_pair_poly(kind, i, j, f, g, t, pi, pj)):
                 self.stats.reductions_to_zero += 1
         # an S-pair, discarded or reduced, is handled: a premise of the
         # chain criterion from now on (G-pairs never are one)
@@ -927,7 +926,7 @@ class _Engine:
         dequeued in the order and with the decisions of one queue entry
         per word.  A range of a retired element is dropped.
         """
-        if self.polys[a] is None or self.polys[b] is None:
+        if a not in self.active or b not in self.active:
             self.queued -= r_end - r
             return
         meta = self._meta(a, b)
@@ -967,7 +966,7 @@ class _Engine:
         self.queued -= stop - r
         self.stats.pairs_discarded_chain += stop - r
         if self.discard_log is not None:
-            f, g = self.polys[a], self.polys[b]
+            f, g = self.active[a][4], self.active[b][4]
             for x in range(r, stop):
                 w = _word(x, k, n)
                 if not self._chain_discard(kind, a, b, lmf + w + lmg, 0, len(lmf) + k):
@@ -1013,7 +1012,7 @@ class _Engine:
             basis = [g for *_, g in self.active.values()]
             if self.reduce:
                 basis = interreduce(basis, tail_reduce=self.tail_reduce)
-        # leading words are unique here (one owner per word in lm_index)
+        # leading words are unique here (_insert keeps one owner per word)
         basis.sort(key=lambda p: ring.word_key(p.leading_word()))
         flag = completeness_flag(basis, self.d)
         return GBResult(

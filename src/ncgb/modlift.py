@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .coeffring import DomainKind, ext_gcd, residue_domain, squarefree_factors
 from .engine import FLAG_TRUNCATED, GBResult, Stats, buchberger, completeness_flag, interreduce, keep_minimal
 from .freealg import FreeAlgebra, Polynomial
-from .overlap import placements
+from .overlap import pair_poly, placements
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ def gb_mod_prime(
     d: int,
     p: int,
     *,
-    reduce: bool = True,
     tail_reduce: bool = True,
 ) -> GBResult:
-    """Monic strong basis of the generators' image mod a prime ``p``.
+    """Monic, interreduced strong basis of the generators' image mod a
+    prime ``p``.
 
     The result lives over ``Z/p`` and never includes the modulus
     constant: generators that vanish mod ``p`` simply drop out (so
@@ -103,7 +103,7 @@ def gb_mod_prime(
     """
     ring_p = FreeAlgebra(residue_domain(p), ring.alphabet, ring.ordering)
     gens_p = [_transfer(ring_p, g) for g in gens]
-    return buchberger(ring_p, gens_p, d, reduce=reduce, tail_reduce=tail_reduce)
+    return buchberger(ring_p, gens_p, d, tail_reduce=tail_reduce)
 
 
 def _combine(
@@ -141,13 +141,6 @@ def _combine(
     sa = (s * a) % m
     letters = [bytes([c]) for c in range(len(ring_m.alphabet))]
 
-    def pair(g: Polynomial, h: Polynomial, T: bytes, pu: int, pv: int) -> Polynomial:
-        u, v = g.leading_word(), h.leading_word()
-        cg, ch = int(g.leading_coeff()), int(h.leading_coeff())
-        fg = ring_m.scaled_translate((tb * ch) % m, T[:pu], T[pu + len(u):], g)
-        fh = ring_m.scaled_translate((sa * cg) % m, T[:pv], T[pv + len(v):], h)
-        return ring_m.add(fg, fh)
-
     lifted_a = [_transfer(ring_m, g) for g in g_left]
     lifted_b = [_transfer(ring_m, h) for h in g_right]
     lifted = [
@@ -155,8 +148,9 @@ def _combine(
         for c, fs in ((tb, lifted_a), (sa, lifted_b))
         for f in fs
     ]
-    # per pair: leading words, norm, intersecting placements and the frontier of
-    # connecting words w, each with an alive flag for u·w·v and for v·w·u
+    # per pair: leading words, norm, the cofactors kg and kh of g and h in its
+    # candidates, intersecting placements and the frontier of connecting words
+    # w, each with an alive flag for u·w·v and for v·w·u
     pairs = []
     for g in lifted_a:
         for h in lifted_b:
@@ -172,14 +166,17 @@ def _combine(
             else:  # a constant's leading word sits at the start of the other
                 placed, frontier = [(v or u, 0, 0)], []
             # tb + sa == 1 (mod m): the leading coefficient is cg*ch
-            pairs.append([g, h, u, v, math.gcd(cg * ch, m), placed, frontier])
+            kg, kh = (tb * ch) % m, (sa * cg) % m
+            pairs.append([g, h, u, v, math.gcd(cg * ch, m), kg, kh, placed, frontier])
 
     kept = []
     for L in range(d + 1):
         level = [it for it in lifted if len(it[0]) == L]
         for fam in pairs:
-            g, h, u, v, norm, placed, frontier = fam
-            level += [(T, norm, (pair, g, h, T, pu, pv)) for T, pu, pv in placed if len(T) == L]
+            g, h, u, v, norm, kg, kh, placed, frontier = fam
+            level += [
+                (T, norm, (pair_poly, g, h, T, pu, pv, kg, kh)) for T, pu, pv in placed if len(T) == L
+            ]
             k = L - len(u) - len(v)
             if k < 0 or not frontier:
                 continue
@@ -191,9 +188,11 @@ def _combine(
                 fu = fu and not any(W in u + w for W in ws)
                 fv = fv and not any(W in v + w for W in ws)
                 if fu:
-                    level.append((u + w + v, norm, (pair, g, h, u + w + v, 0, len(u) + k)))
+                    T = u + w + v
+                    level.append((T, norm, (pair_poly, g, h, T, 0, len(u) + k, kg, kh)))
                 if fv:
-                    level.append((v + w + u, norm, (pair, g, h, v + w + u, len(v) + k, 0)))
+                    T = v + w + u
+                    level.append((T, norm, (pair_poly, g, h, T, len(v) + k, 0, kg, kh)))
                 if fu or fv:
                     fam[-1].append((w, fu, fv))
         kept = keep_minimal(ring_m, [(T, n, (T, n, recipe)) for T, n, recipe in kept + level])
@@ -236,7 +235,7 @@ def gb_zmod(
 
     def rec(node: ModulusPlan) -> list[Polynomial]:
         if node.is_leaf:
-            res = gb_mod_prime(ring, gens, d, node.modulus, reduce=True, tail_reduce=tail_reduce)
+            res = gb_mod_prime(ring, gens, d, node.modulus, tail_reduce=tail_reduce)
             for name, val in res.stats.as_dict().items():
                 if name != "peak_queue_size":
                     setattr(total, name, getattr(total, name) + val)

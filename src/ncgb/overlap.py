@@ -36,9 +36,10 @@ from .freealg import Polynomial, Word
 
 
 def placements(u: Word, v: Word) -> Iterator[tuple[Word, int, int]]:
-    """Joint placements ``(t, pos_u, pos_v)`` of ``u`` and ``v`` whose
-    occurrence intervals intersect and exactly cover ``t``, by increasing
-    offset of ``v`` relative to ``u``.
+    """Joint placements ``(t, pos_u, pos_v)`` of two nonempty words ``u``
+    and ``v`` whose occurrence intervals intersect and exactly cover ``t``,
+    by increasing offset of ``v`` relative to ``u``.  Every offset in
+    ``1-|v| .. |u|-1`` makes the intervals share a position.
 
     Includes the identity placement when ``u == v``; callers that must
     exclude it (see :func:`overlaps`) filter it out.
@@ -46,8 +47,6 @@ def placements(u: Word, v: Word) -> Iterator[tuple[Word, int, int]]:
     lu, lv = len(u), len(v)
     for shift in range(1 - lv, lu):  # offset of v relative to u
         lo, hi = max(0, shift), min(lu, shift + lv)
-        if lo >= hi:  # intervals do not share a position
-            continue
         if u[lo:hi] != v[lo - shift:hi - shift]:
             continue
         if shift >= 0:
@@ -104,21 +103,13 @@ def g_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
 # S/G-polynomials
 # ---------------------------------------------------------------------------
 
-def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, gcd: bool) -> Polynomial:
+def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, x, y) -> Polynomial:
     """``x·lf·f·rf + y·lg·g·rg`` on the common word ``t``, where the
     leading words of ``f`` and ``g`` occur in ``t`` at ``pf`` and ``pg``
-    (``t == lf·LM(f)·rf == lg·LM(g)·rg``): with the S-cofactors
-    ``(x, y) = (a_f, -a_g)``, which cancel the leading terms, or with
-    ``gcd`` the G-cofactors ``(b_f, b_g)``, which leave
-    ``gcd(LC(f), LC(g))`` on ``t``."""
+    (``t == lf·LM(f)·rf == lg·LM(g)·rg``).  The S-cofactors ``(x, y) =
+    (a_f, -a_g)`` cancel the leading terms; the G-cofactors ``(b_f,
+    b_g)`` leave ``gcd(LC(f), LC(g))`` on ``t``."""
     ring = f.ring
-    dom = ring.domain
-    cf, cg = f.leading_coeff(), g.leading_coeff()
-    if gcd:
-        x, y, _ = g_cofactors(dom, cf, cg)
-    else:
-        x, y = s_cofactors(dom, cf, cg)
-        y = dom.neg(y)
     ef = pf + len(f.leading_word())
     eg = pg + len(g.leading_word())
     return ring.add(
@@ -127,8 +118,14 @@ def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, gcd: bool
 
 
 def _pair(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int):
-    sp = pair_poly(f, g, t, pf, pg, False)
-    return sp, None if f.ring.domain.is_field else pair_poly(f, g, t, pf, pg, True)
+    dom = f.ring.domain
+    cf, cg = f.leading_coeff(), g.leading_coeff()
+    af, ag = s_cofactors(dom, cf, cg)
+    sp = pair_poly(f, g, t, pf, pg, af, dom.neg(ag))
+    if dom.is_field:
+        return sp, None
+    bf, bg, _ = g_cofactors(dom, cf, cg)
+    return sp, pair_poly(f, g, t, pf, pg, bf, bg)
 
 
 def spoly1(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int):

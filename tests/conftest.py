@@ -344,9 +344,9 @@ class EagerEngine(_Engine):
     closed-form product criterion (:meth:`_PairMeta.exceptions`)."""
 
     def _materialize(self, a, b, lvl):
-        f, g = self.polys[a], self.polys[b]
-        if f is None or g is None:
+        if a not in self.active or b not in self.active:
             return
+        f, g = self.active[a][4], self.active[b][4]
         meta = self._meta(a, b)
         k = lvl - len(meta.lmf) - len(meta.lmg)
         nletters = len(self.ring.alphabet)
@@ -379,7 +379,7 @@ class EagerEngine(_Engine):
     def _walk(self, lvl, seq, kind, a, b, r, r_end):
         assert r_end == r + 1
         self.queued -= 1
-        if self.polys[a] is None or self.polys[b] is None:
+        if a not in self.active or b not in self.active:
             return
         meta = self._meta(a, b)
         k = lvl - len(meta.lmf) - len(meta.lmg)
@@ -401,7 +401,7 @@ class SetKeyedEngine(_Engine):
         self.checks = 0
 
     def _process(self, kind, i, j, data):
-        live = kind == S2 and self.polys[i] is not None and self.polys[j] is not None
+        live = kind == S2 and i in self.active and j in self.active
         super()._process(kind, i, j, data)
         if live:
             self.s2_keys.add((i, j, data))
@@ -435,14 +435,13 @@ class _CheckedReducers(_ReducerSet):
     __slots__ = ("engine",)
 
     def __init__(self, engine):
-        dom = engine.ring.domain
-        self.ring, self.step, self.modulus = engine.ring, dom.step, dom.modulus
+        self.ring = engine.ring
         self.engine = engine
 
     @property
     def reducers(self):
         eng = self.engine
-        fresh = _ReducerSet(eng.ring, [p for p in eng.polys if p is not None]).reducers
+        fresh = _ReducerSet(eng.ring, [p for p in eng.live if p is not None]).reducers
         assert list(eng.active.values()) == fresh
         eng.checks += 1
         return eng.active.values()
@@ -451,11 +450,24 @@ class _CheckedReducers(_ReducerSet):
 class FreshReducersEngine(_Engine):
     """The engine, asserting before every reduction that the records of
     its active set are the reducers that a fresh :class:`_ReducerSet` of
-    its live elements would give, in the same order.  ``checks`` counts
-    the reductions compared.  Kept as an oracle for the records that
-    ``_insert`` builds once and ``_retire`` drops."""
+    its live elements would give, in the same order.  ``live`` is its own
+    list of the elements by index, appended at registration and set to
+    None at retirement, so that the expected reducers do not come from the
+    active set.  ``checks`` counts the reductions compared.  Kept as an
+    oracle for the records that ``_insert`` builds once and ``_retire``
+    drops."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.checks = 0
+        self.live = []
         self.reducers = _CheckedReducers(self)
+
+    def _register(self, n):
+        assert n == len(self.live)
+        self.live.append(self.active[n][4])
+        super()._register(n)
+
+    def _retire(self, k):
+        self.live[k] = None
+        super()._retire(k)

@@ -24,9 +24,10 @@ from ncgb import (
     verify_strong_basis,
 )
 from ncgb.cli import parse_job
-from ncgb.coeffring import residue_domain
+from ncgb.coeffring import ext_gcd, lcm_coeff, residue_domain
+from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors
 from ncgb import engine
-from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms
+from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms, _reducer
 
 from conftest import (
     first_cut_end,
@@ -196,7 +197,7 @@ def _product_verdicts(f, g, words):
     """The product criterion's verdicts on ordered ``(f, g)`` at each
     connecting word, from the engine and from the word-by-word oracle."""
     eng = _Engine(R, 9, True, True, False)
-    eng.polys = [f, g]
+    eng.active.update({0: _reducer(R.domain, f), 1: _reducer(R.domain, g)})
     meta = _PairMeta(f, g)
     engine = [eng._product_ok(0, 1, R.parse_word(w)) for w in words]
     oracle = [product_criterion_holds(meta, R.parse_word(w)) for w in words]
@@ -259,6 +260,41 @@ def test_product_exceptions_are_the_words_where_the_criterion_fails():
             assert meta.exceptions(k) is meta.kept[k]  # computed once per length
             found += len(brute)
     assert found > 1000, found
+
+
+def test_pair_meta_cofactors_follow_the_cofactor_rules():
+    # _PairMeta computes a pair's cofactors once, with s_cofactors and
+    # g_cofactors; its lcm and gcd are the coefficient rules' values, and
+    # pair_poly with its S-cofactors cancels the leading term on t while
+    # the G-cofactors leave the gcd there
+    rng = random.Random(20261019)
+    n = len(R.alphabet)
+
+    def word(lo, hi):
+        return bytes(rng.randrange(n) for _ in range(rng.randint(lo, hi)))
+
+    def element(lm):
+        tail = [(word(0, len(lm) - 1), rng.randint(-9, 9)) for _ in range(rng.randint(0, 2))]
+        return R.poly([(lm, rng.randint(1, 90))] + tail)
+
+    placed = 0
+    for _ in range(400):
+        f, g = element(word(1, 3)), element(word(1, 3))
+        cf, cg = f.leading_coeff(), g.leading_coeff()
+        meta = _PairMeta(f, g)
+        af, ag = s_cofactors(ZZ, cf, cg)
+        bf, bg, gcd = g_cofactors(ZZ, cf, cg)
+        assert meta.cofactors == (af, ag, bf, bg)
+        assert meta.lcm == lcm_coeff(cf, cg) and meta.gcd == gcd == ext_gcd(cf, cg)[0]
+        u, v = f.leading_word(), g.leading_word()
+        w = word(0, 2)
+        for t, pf, pg in overlaps(u, v) + [(u + w + v, 0, len(u) + len(w))]:
+            sp = pair_poly(f, g, t, pf, pg, af, -ag)
+            assert sp.is_zero or R.compare_words(sp.leading_word(), t) == -1
+            gp = pair_poly(f, g, t, pf, pg, bf, bg)
+            assert gp.leading_word() == t and gp.leading_coeff() == meta.gcd
+            placed += 1
+    assert placed > 400
 
 
 def _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen):
