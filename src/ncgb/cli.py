@@ -177,6 +177,14 @@ class _Parser:
             self.fail(f"expected {what}")
         return self.nat_value(self.next())
 
+    def items(self, item, sep: str = ","):
+        """The items of ``item (sep item)*``, each parsed when it is asked
+        for, so a check on one item comes before the next is parsed."""
+        yield item()
+        while self.peek().value == sep:
+            self.next()
+            yield item()
+
     def nat_value(self, t: _Token) -> int:
         try:
             return int(t.value)
@@ -206,10 +214,8 @@ class _Parser:
         else:
             self.fail("domain must be Z, Q or Zmod", dom_tok)
         self.expect_punct("<")
-        names = [self.expect_ident("variable name").value]
-        while self.peek().value == ",":
-            self.next()
-            tok = self.expect_ident("variable name")
+        names: list[str] = []
+        for tok in self.items(functools.partial(self.expect_ident, "variable name")):
             if len(names) == 255:  # a letter is one byte of a word
                 self.fail("at most 255 variables supported", tok)
             names.append(tok.value)
@@ -224,18 +230,12 @@ class _Parser:
         weights: list[int] = []
         if kind == WEIGHTED_DEG_LEFT_LEX:
             self.expect_punct("(")
-            weights.append(self.expect_nat("weight"))
-            while self.peek().value == ",":
-                self.next()
-                weights.append(self.expect_nat("weight"))
+            weights = list(self.items(functools.partial(self.expect_nat, "weight")))
             self.expect_punct(")")
             if len(weights) != len(names):
                 self.fail("one weight per variable required", ord_tok)
         self.expect_punct("(")
-        ranked = [self.expect_ident("variable name")]
-        while self.peek().value == ">":
-            self.next()
-            ranked.append(self.expect_ident("variable name"))
+        ranked = list(self.items(functools.partial(self.expect_ident, "variable name"), ">"))
         self.expect_punct(")")
         ranked_names = [t.value for t in ranked]
         if sorted(ranked_names) != sorted(names):
@@ -269,13 +269,9 @@ class _Parser:
         interpreter's recursion limit is reported at the list's start."""
         start = self.peek()
         try:
-            out = [self.parse_polyexpr(ring)]
-            while self.peek().value == ",":
-                self.next()
-                out.append(self.parse_polyexpr(ring))
+            return list(self.items(functools.partial(self.parse_polyexpr, ring)))
         except RecursionError:
             raise JobError("expression nested too deeply", start.line, start.col) from None
-        return out
 
     def parse_polyexpr(self, ring: FreeAlgebra) -> Polynomial:
         acc = self.parse_signed_term(ring)
@@ -447,65 +443,55 @@ def render_basis(ring: FreeAlgebra, basis: list[Polynomial]) -> list[str]:
     return [ring.render(_integral_form(ring, p)) for p in basis]
 
 
+def _fail(msg, code: int = 1) -> int:
+    """Report an error on stderr; returns the exit code."""
+    print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
 def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None,
-        want_stats: bool = False, output: str = "text", out=None) -> int:
-    """Execute a parsed job and print the result.  Returns the exit code."""
-    out = out or sys.stdout
+        output: str = "text") -> int:
+    """Execute a parsed job and print its result document, as one JSON
+    object or as text lines.  Returns the exit code."""
     ring = job.ring
     opts = job.options
     complete = gb_zmod if ring.domain.kind == DomainKind.RESIDUE else buchberger
     if monomials is not None and not 0 <= monomials <= job.bound:
-        print(f"error: --monomials must lie in 0..{job.bound}, the bound", file=sys.stderr)
-        return 1
+        return _fail(f"--monomials must lie in 0..{job.bound}, the bound")
     try:
         result = complete(
             ring, job.generators, job.bound,
             reduce=opts["reduce"], tail_reduce=opts["tail_reduce"],
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if "unsupported" in str(exc) else 1
+        return _fail(exc, 2 if "unsupported" in str(exc) else 1)
 
-    lines = render_basis(ring, result.basis)
-    mono_words = None
+    doc: dict = {
+        "basis": render_basis(ring, result.basis),
+        "flag": result.complete_flag,
+        "stats": result.stats.as_dict(),
+    }
     if monomials is not None:
-        mono_words = [
-            ring.render_word(w)
-            for w in monomial_basis(result.basis, monomials, ring=ring)
-        ]
-    verdict = None
+        words = monomial_basis(result.basis, monomials, ring=ring)
+        doc["monomials"] = [ring.render_word(w) for w in words]
     if equiv_text is not None:
         try:
             target = parse_poly_list(equiv_text, ring, job.bound)
         except JobError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        verdict = gb_equivalent(result.basis, target, job.bound)
-
-    show_stats = want_stats or opts["stats"]
+            return _fail(exc)
+        doc["equivalent"] = gb_equivalent(result.basis, target, job.bound)
     if output == "json":
-        doc: dict = {
-            "basis": lines,
-            "flag": result.complete_flag,
-            "stats": result.stats.as_dict(),
-        }
-        if mono_words is not None:
-            doc["monomials"] = mono_words
-        if verdict is not None:
-            doc["equivalent"] = verdict
-        print(json.dumps(doc), file=out)
+        print(json.dumps(doc))
         return 0
 
-    for line in lines:
-        print(line, file=out)
-    print(f"flag: {result.complete_flag}", file=out)
-    if mono_words is not None:
-        print("monomials: " + " ".join(mono_words), file=out)
-    if verdict is not None:
-        print(f"equivalent: {'true' if verdict else 'false'}", file=out)
-    if show_stats:
-        for key, val in result.stats.as_dict().items():
-            print(f"{key}={val}", file=out)
+    lines = [*doc["basis"], f"flag: {doc['flag']}"]
+    if "monomials" in doc:
+        lines.append("monomials: " + " ".join(doc["monomials"]))
+    if "equivalent" in doc:
+        lines.append(f"equivalent: {json.dumps(doc['equivalent'])}")
+    if opts["stats"]:
+        lines += [f"{key}={val}" for key, val in doc["stats"].items()]
+    print("\n".join(lines))
     return 0
 
 
@@ -517,7 +503,8 @@ def _parser() -> argparse.ArgumentParser:
         description="bounded strong Groebner bases for free algebras over Z, Q, Z/m",
     )
     ap.add_argument("jobfile", help="job file ('-' for stdin)")
-    ap.add_argument("--stats", action="store_true", help="print the counter block")
+    ap.add_argument("--stats", action="store_const", const=True, default=None,
+                    help="print the counter block")
     ap.add_argument("--reduce", action="store_const", const=True, default=None,
                     help="force final minimisation on (overrides job options)")
     ap.add_argument("--tail-reduce", action="store_const", const=True, default=None,
@@ -531,46 +518,24 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-
     try:
-        if args.jobfile == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.jobfile, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        job = parse_job(text)
-    except JobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.reduce is not None:
-        job.options["reduce"] = args.reduce
-    if args.tail_reduce is not None:
-        job.options["tail_reduce"] = args.tail_reduce
-
-    equiv_text = None
-    if args.equiv is not None:
-        try:
-            with open(args.equiv, "r", encoding="utf-8") as fh:
-                equiv_text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    return run(
-        job,
-        monomials=args.monomials,
-        equiv_text=equiv_text,
-        want_stats=args.stats,
-        output=args.output,
-    )
+        # only the job file reads '-' as stdin
+        job = parse_job(sys.stdin.read() if args.jobfile == "-" else _read(args.jobfile))
+        equiv_text = None if args.equiv is None else _read(args.equiv)
+    except (OSError, JobError) as exc:
+        return _fail(exc)
+    # flags override the job's options
+    for key in ("reduce", "tail_reduce", "stats"):
+        if getattr(args, key) is not None:
+            job.options[key] = getattr(args, key)
+    return run(job, monomials=args.monomials, equiv_text=equiv_text, output=args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -570,6 +570,8 @@ class _Engine:
         self.reduce = reduce
         self.tail_reduce = tail_reduce
         self.field_mode = dom.is_field
+        # every pair's S-cofactors over a field, where elements are monic
+        self.field_cofactors = (dom.one, dom.neg(dom.one))
 
         # index -> _reducer record of each active element, the only store of
         # elements: an index is its element's insertion count, and a retired
@@ -780,8 +782,8 @@ class _Engine:
         while True:
             lm = h.leading_word()
             lc = h.leading_coeff()
-            if not lm and (self.field_mode or lc in (1, -1)):
-                # unit constant: the whole ring
+            if not lm and lc == 1:
+                # unit constant (h is normalised): the whole ring
                 self.unit = True
                 self.heap.clear()
                 self.buckets.clear()
@@ -790,10 +792,11 @@ class _Engine:
             e = next((k for k, rec in self.active.items() if rec[0] == lm), None)
             if e is None:
                 break
-            # same leading word: the aligned first-type pair is a unimodular
+            # same leading word, only over a ring (over a field normal_form
+            # has stepped it): the aligned first-type pair is a unimodular
             # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner
             fe = self.active[e][4]
-            if self.cofactor_log is not None and not self.field_mode:
+            if self.cofactor_log is not None:
                 af, ag = s_cofactors(dom, fe.leading_coeff(), lc)
                 bf, bg, _ = g_cofactors(dom, fe.leading_coeff(), lc)
                 self.cofactor_log.append((af, ag, bf, bg))
@@ -831,12 +834,10 @@ class _Engine:
                          t: Word, pi: int, pj: int) -> Polynomial:
         """The pair polynomial of elements ``i`` and ``j``, ``f`` and ``g``,
         placed on ``t``, with the cofactors of their :class:`_PairMeta`
-        (over a field, the S-cofactors of the leading coefficients); an
+        (over a field, where every element is monic, ``(1, -1)``); an
         S-pair's cofactors are logged."""
         if self.field_mode:
-            dom = self.ring.domain
-            af, ag = s_cofactors(dom, f.leading_coeff(), g.leading_coeff())
-            return pair_poly(f, g, t, pi, pj, af, dom.neg(ag))
+            return pair_poly(f, g, t, pi, pj, *self.field_cofactors)
         cofactors = self._meta(i, j).cofactors
         if kind in (G1, G2):
             return pair_poly(f, g, t, pi, pj, cofactors[2], cofactors[3])

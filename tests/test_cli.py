@@ -89,6 +89,9 @@ def test_parse_job_multiple_ideal_statements():
         # past the interpreter's limit on the digits int() converts
         ("ring Z <x> deglex(x) bound 3;\nideal " + "7" * 5000 + "*x;",
          "line 2 col 7: number too long (5000 digits)"),
+        # the 256th name fails before the trailing comma's syntax error
+        ("ring Z <" + ",".join(f"v{i}" for i in range(300)) + ",> deglex(v0) bound 3;",
+         "line 1 col 1174: at most 255 variables supported"),
     ],
 )
 def test_parse_job_errors(src, msg):
@@ -361,6 +364,36 @@ def test_cli_equiv_verdicts(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+@pytest.mark.parametrize(
+    "jobtext, target",
+    [
+        (INTRO, "3*y, 2*x, x*y, y*x"),
+        ("ring Q <x,y> deglex(x>y) bound 4;\nideal 2*x - 3*y, x*y*x;", "2*x - 3*y, y^3"),
+        ("ring Zmod 30 <x,y> degrevlexR(y>x) bound 4;\nideal 6*x*y + 10*y, 15*y*x;", "x"),
+    ],
+    ids=["intro", "Q", "Zmod30"],
+)
+def test_cli_text_lines_are_the_json_document(tmp_path, capsys, jobtext, target):
+    # the text output prints the facts of the JSON document, line by line:
+    # basis, flag, monomials, verdict, then the counters
+    equiv = tmp_path / "target.txt"
+    equiv.write_text(target)
+    flags = ("--stats", "--monomials", "2", "--equiv", str(equiv))
+    code, text, err = run_cli(tmp_path, capsys, jobtext, *flags)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(tmp_path, capsys, jobtext, *flags, "--output", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["basis", "flag", "stats", "monomials", "equivalent"]
+    assert text.splitlines() == [
+        *doc["basis"],
+        f"flag: {doc['flag']}",
+        "monomials: " + " ".join(doc["monomials"]),
+        f"equivalent: {'true' if doc['equivalent'] else 'false'}",
+        *(f"{key}={val}" for key, val in doc["stats"].items()),
+    ]
+
+
 def test_cli_rational_basis_prints_integrally(tmp_path, capsys):
     code, out, _ = run_cli(
         tmp_path, capsys, "ring Q <x,y> deglex(x>y) bound 4;\nideal 2*x - 3*y;"
@@ -481,10 +514,16 @@ def test_cli_equiv_file_is_parsed_under_the_bound(tmp_path, capsys):
     assert err == "error: line 1 col 8: bound too small for a power of length 2000000000\n"
 
 
-def test_cli_missing_file_exits_1(capsys):
+def test_cli_missing_file_exits_1(tmp_path, monkeypatch, capsys):
     code = main(["/nonexistent/job.txt"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # only the job file reads '-' as stdin: '--equiv -' names a file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("2*x, 3*y"))
+    code, out, err = run_cli(tmp_path, capsys, INTRO, "--equiv", "-")
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 2] No such file or directory: '-'\n"
 
 
 def test_cli_reads_stdin(monkeypatch, capsys):

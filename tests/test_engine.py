@@ -25,7 +25,7 @@ from ncgb import (
 )
 from ncgb.cli import parse_job
 from ncgb.coeffring import ext_gcd, lcm_coeff, residue_domain
-from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors
+from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors, spoly2
 from ncgb import engine
 from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms, _reducer
 
@@ -718,6 +718,46 @@ def test_cofactor_log_satisfies_determinant_identity():
     assert res.cofactor_log
     for af, ag, bf, bg in res.cofactor_log:
         assert af * bg + ag * bf == 1
+
+
+class _CheckedPairPolys(_Engine):
+    """The engine, checking every pair polynomial it builds against the S-
+    or G-polynomial that :func:`spoly1` or :func:`spoly2` gives at the same
+    placement, and recording the pair kinds it built."""
+
+    def _build_pair_poly(self, kind, i, j, f, g, t, pi, pj):
+        got = super()._build_pair_poly(kind, i, j, f, g, t, pi, pj)
+        if kind in (engine.S1, engine.G1):
+            sp, gp = spoly1(f, g, t, pi, pj)
+        else:
+            sp, gp = spoly2(f, g, t[len(f.leading_word()):pj])
+        assert got == (gp if kind in (engine.G1, engine.G2) else sp), (kind, t, pi, pj)
+        self.built.add(kind)
+        return got
+
+
+@pytest.mark.parametrize(
+    "domain, kind, ranked, gens, d",
+    [
+        (QQ, DEG_RIGHT_LEX, "xyz", SKEW, 8),
+        (residue_domain(7), DEG_RIGHT_LEX, "xyz", SKEW, 8),
+        (QQ, DEG_LEFT_LEX, "zyx", COMMUTATOR, 7),
+        (residue_domain(7), DEG_LEFT_LEX, "zyx", COMMUTATOR, 7),
+        (ZZ, DEG_RIGHT_LEX, "xyz", "4*x*y + y, 6*y*x + x", 6),
+    ],
+    ids=["Q-skew", "Z7-skew", "Q-commutator", "Z7-commutator", "Z-non-unit"],
+)
+def test_pair_polys_are_the_s_and_g_polynomials(domain, kind, ranked, gens, d):
+    # over a field every active element is monic, so the engine passes the
+    # constant S-cofactors (1, -1); over Z, those of the pair's _PairMeta
+    r = make_ring(domain, "xyz", kind, list(ranked))
+    eng = _CheckedPairPolys(r, d, True, True, False)
+    eng.built = set()
+    res = eng.run(polys(r, gens))
+    assert res.basis == buchberger(r, polys(r, gens), d).basis
+    # over a field only first-type S-pairs are formed
+    want = {engine.S1} if domain.is_field else {engine.S1, engine.G1, engine.S2, engine.G2}
+    assert eng.built == want
 
 
 # -- random completions stay verifiable -------------------------------------------
