@@ -529,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         # only the job file reads '-' as stdin
         job = parse_job(sys.stdin.read() if args.jobfile == "-" else _read(args.jobfile))
         equiv_text = None if args.equiv is None else _read(args.equiv)
-    except (OSError, JobError) as exc:
+    except (OSError, UnicodeDecodeError, JobError) as exc:
         return _fail(exc)
     # flags override the job's options
     for key in ("reduce", "tail_reduce", "stats"):

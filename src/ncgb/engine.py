@@ -435,23 +435,25 @@ def _first_type(u: Word, v: Word) -> list[tuple[Word, int, int]]:
 # ---------------------------------------------------------------------------
 
 class _PairMeta:
-    """Everything the engine knows about ordered ``(f, g)`` over a ring:
-    the product criterion's w-independent parts, ``g_needed`` (its
-    G-pairs survive :func:`coeff_criterion`), its ``cofactors`` ``(a_f,
-    a_g, b_f, b_g)`` from :func:`s_cofactors` and :func:`g_cofactors`,
-    the ``lcm`` ``a_f*LC(f)`` and the ``gcd`` of the leading coefficients
-    they give, ``last``, the ``(level, w)`` of its last dequeued
-    second-type S-pair or None (see :meth:`_Engine._premise_ok`), and
-    ``kept``, the product criterion's exceptions per length."""
+    """Everything the engine knows about ordered ``(f, g)`` over a ring and
+    its second-type family: ``base``, the level ``|LM(f)·LM(g)|`` of the
+    empty connecting word, the product criterion's w-independent parts,
+    ``g_needed`` (its G-pairs survive :func:`coeff_criterion`), its
+    ``cofactors`` ``(a_f, a_g, b_f, b_g)`` from :func:`s_cofactors` and
+    :func:`g_cofactors`, the ``lcm`` ``a_f*LC(f)`` and the ``gcd`` of the
+    leading coefficients they give, ``last``, the ``(level, w)`` of its last
+    dequeued second-type S-pair or None (see :meth:`_Engine._premise_ok`),
+    and ``kept``, the product criterion's exceptions per length."""
 
-    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "g_needed", "cofactors",
-                 "lcm", "gcd", "last", "kept")
+    __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "base", "g_needed",
+                 "cofactors", "lcm", "gcd", "last", "kept")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
         lmf, lmg = f.leading_word(), g.leading_word()
         cf, cg = f.leading_coeff(), g.leading_coeff()
         self.lmf, self.lmg = lmf, lmg
+        self.base = len(lmf) + len(lmg)
         self.coprime_no_overlap = dom.coprime(cf, cg) and (
             not lmf or not lmg or not overlaps(lmf, lmg)
         )
@@ -468,6 +470,15 @@ class _PairMeta:
         self.lcm = af * cf
         self.last: tuple[int, Word] | None = None
         self.kept: dict[int, list[Word]] = {}
+
+    def place(self, w: Word) -> tuple[Word, int, int]:
+        """The second-type placement at ``w``: ``(LM(f)·w·LM(g), 0, |LM(f)·w|)``."""
+        return self.lmf + w + self.lmg, 0, len(self.lmf) + len(w)
+
+    def need(self, kind: str) -> object:
+        """What the chain criterion's third leading coefficient divides:
+        the gcd for G-kinds, the lcm for S-kinds."""
+        return self.gcd if kind in (G1, G2) else self.lcm
 
     def exceptions(self, k: int) -> list[Word]:
         """The connecting words of length ``k`` where the product
@@ -566,6 +577,7 @@ class _Engine:
                 "composite residue moduli are handled by the lifting driver"
             )
         self.ring = ring
+        self.nletters = len(ring.alphabet)
         self.d = d
         self.reduce = reduce
         self.tail_reduce = tail_reduce
@@ -663,8 +675,7 @@ class _Engine:
             return
         f, g = self.active[a][4], self.active[b][4]
         meta = self._meta(a, b)
-        k = lvl - len(meta.lmf) - len(meta.lmg)
-        nletters = len(self.ring.alphabet)
+        k, nletters = lvl - meta.base, self.nletters
         count = nletters**k
         self.stats.pairs_created += 2 * count
 
@@ -703,9 +714,16 @@ class _Engine:
         ``b@pb`` inside ``t`` already handled?  Intersecting occurrences
         name a first-type S-pair, handled once its key is in
         ``processed``.  Disjoint ones name the second-type pair
-        ``(first, second, gap)`` of level ``span``: always handled over a
-        field; over a ring, handled once dequeued or when the product
-        criterion covers it.
+        ``(first, second, gap)`` of level ``span``, handled once dequeued
+        or when the product criterion covers it.
+
+        Over a field they always intersect.  Every leading coefficient is
+        a unit, so :meth:`_absorb` leaves no active leading word in a new
+        one and :meth:`_insert` retires each whose word holds the new one:
+        the active leading words are an antichain under the subword order.
+        Only first-type pairs are queued, and their ``t`` is the span of two
+        intersecting occurrences; a third occurrence that misses one lies
+        strictly inside the other, a leading word inside a longer one.
 
         It was dequeued exactly when ``(span, gap) <= last``, the cursor
         of ``(first, second)``.  A family is pushed in ``(level, w)``
@@ -724,8 +742,6 @@ class _Engine:
             hi = max(pa + la, pb + lb)
             key = self._s_key(a, pa - lo, b, pb - lo, t[lo:hi])
             return key in self.processed
-        if self.field_mode:
-            return True
         if pa < pb:
             first, second, gap, span = a, b, t[pa + la:pb], pb + lb - pa
         else:
@@ -742,11 +758,7 @@ class _Engine:
         (S-kinds) or gcd (G-kinds), and both premise sub-pairs were
         already handled, so the pair's S/G-polynomial telescopes into
         combinations that are known to have strong representations."""
-        if self.field_mode:
-            need = None
-        else:
-            meta = self._meta(i, j)
-            need = meta.gcd if kind in (G1, G2) else meta.lcm
+        need = None if self.field_mode else self._meta(i, j).need(kind)
         li, lj = self.active[i][1], self.active[j][1]
         for k, (lmf, lf, _, terms, _) in self.active.items():
             if not lf or (need is not None and need % terms[0][1] != 0):
@@ -797,16 +809,13 @@ class _Engine:
             # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner
             fe = self.active[e][4]
             if self.cofactor_log is not None:
-                af, ag = s_cofactors(dom, fe.leading_coeff(), lc)
-                bf, bg, _ = g_cofactors(dom, fe.leading_coeff(), lc)
-                self.cofactor_log.append((af, ag, bf, bg))
+                self.cofactor_log.append(_PairMeta(fe, h).cofactors)
             sp, gp = spoly1(fe, h, lm, 0, 0)
             self._retire(e)
             if not sp.is_zero:
                 self._push(len(sp.leading_word()), "P", -1, -1, sp)
+            # gp keeps its leading term: its LC divides LC(h), which no remaining reducer steps
             h = normal_form(gp, self.reducers, tail_reduce=self.tail_reduce)
-            if h.is_zero:  # pragma: no cover - leading term always survives
-                return
             h = ring.normalize_leading(h)
 
         # simplification: retire elements whose leading term the new one
@@ -853,14 +862,8 @@ class _Engine:
             return
         f, g = self.active[i][4], self.active[j][4]
 
-        # the placement: LM(f) and LM(g) occur in the common word t at pi
-        # and pj; a second-type pair is placed on LM(f)*w*LM(g)
-        if kind in (S1, G1):
-            t, pi, pj = data
-        else:
-            lmf = f.leading_word()
-            t = lmf + data + g.leading_word()
-            pi, pj = 0, len(lmf) + len(data)
+        # the placement: LM(f) and LM(g) occur in the common word t at pi and pj
+        t, pi, pj = data if kind in (S1, G1) else self._meta(i, j).place(data)
         # chain criterion at dequeue
         if self._chain_discard(kind, i, j, t, pi, pj):
             self.stats.pairs_discarded_chain += 1
@@ -931,9 +934,7 @@ class _Engine:
             self.queued -= r_end - r
             return
         meta = self._meta(a, b)
-        k = lvl - len(meta.lmf) - len(meta.lmg)
-        n = len(self.ring.alphabet)
-        need = meta.gcd if kind == G2 else meta.lcm
+        k, n, need = lvl - meta.base, self.nletters, meta.need(kind)
         cuts = [
             lm for lm, lk, _, terms, _ in self.active.values() if lk and need % terms[0][1] == 0
         ]
@@ -961,16 +962,14 @@ class _Engine:
         test mode each is logged and checked with :meth:`_chain_discard`,
         so that the audit tests the lemma."""
         meta = self._meta(a, b)
-        lmf, lmg = meta.lmf, meta.lmg
-        k = lvl - len(lmf) - len(lmg)
-        n = len(self.ring.alphabet)
+        k, n = lvl - meta.base, self.nletters
         self.queued -= stop - r
         self.stats.pairs_discarded_chain += stop - r
         if self.discard_log is not None:
             f, g = self.active[a][4], self.active[b][4]
             for x in range(r, stop):
                 w = _word(x, k, n)
-                if not self._chain_discard(kind, a, b, lmf + w + lmg, 0, len(lmf) + k):
+                if not self._chain_discard(kind, a, b, *meta.place(w)):
                     raise AssertionError(f"chain lemma fails at {(kind, a, b, w)}")
                 self.discard_log.append(("chain-" + kind, f, g, w))
         if kind == S2:
@@ -1120,12 +1119,10 @@ def completeness_flag(basis: list[Polynomial], bound: int) -> str:
 
 
 def monomial_basis(G: list[Polynomial], d: int, ring: FreeAlgebra | None = None) -> list[Word]:
-    """All words of length <= d containing no basis leading word.
-
-    These are the normal (irreducible) words; they form a module basis
-    of the quotient when the leading coefficients are units.  ``ring``
-    is only needed when ``G`` is empty.
-    """
+    """All words of length <= d containing no leading word of ``G``: a module
+    basis of the quotient when every leading coefficient is a unit (over Z,
+    ``x`` is irreducible modulo ``{2x}`` but not listed).  ``ring`` is only
+    needed when ``G`` is empty."""
     if ring is None:
         if not G:
             raise ValueError("ring required for an empty basis")

@@ -19,7 +19,8 @@ Three admissible orderings are provided, all refining total degree:
 ``weighted_deg_left_lex``
     a non-negative weight per letter; weighted degree first, then total
     length, then left-lex.  Weight-zero letters give an elimination-style
-    block at the bottom of the order.
+    block at the bottom of the order.  Reduction can then replace a word by
+    a longer one of no greater weight: a length bound no longer bounds a run.
 """
 
 from __future__ import annotations

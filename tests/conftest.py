@@ -348,8 +348,7 @@ class EagerEngine(_Engine):
             return
         f, g = self.active[a][4], self.active[b][4]
         meta = self._meta(a, b)
-        k = lvl - len(meta.lmf) - len(meta.lmg)
-        nletters = len(self.ring.alphabet)
+        k, nletters = lvl - meta.base, self.nletters
         count = nletters**k
 
         if meta.coprime_no_overlap and not meta.constraints:
@@ -381,9 +380,7 @@ class EagerEngine(_Engine):
         self.queued -= 1
         if a not in self.active or b not in self.active:
             return
-        meta = self._meta(a, b)
-        k = lvl - len(meta.lmf) - len(meta.lmg)
-        self._process(kind, a, b, _word(r, k, len(self.ring.alphabet)))
+        self._process(kind, a, b, _word(r, lvl - self._meta(a, b).base, self.nletters))
 
 
 class SetKeyedEngine(_Engine):
@@ -409,14 +406,12 @@ class SetKeyedEngine(_Engine):
     def _cut(self, lvl, kind, a, b, r, stop):
         super()._cut(lvl, kind, a, b, r, stop)
         if kind == S2:
-            meta = self._meta(a, b)
-            k = lvl - len(meta.lmf) - len(meta.lmg)
-            n = len(self.ring.alphabet)
+            k, n = lvl - self._meta(a, b).base, self.nletters
             self.s2_keys.update((a, b, _word(x, k, n)) for x in range(r, stop))
 
     def _premise_ok(self, a, pa, la, b, pb, lb, t):
         ok = super()._premise_ok(a, pa, la, b, pb, lb, t)
-        if not (pa < pb + lb and pb < pa + la) and not self.field_mode:
+        if not (pa < pb + lb and pb < pa + la):
             if pa < pb:
                 key = (a, b, t[pa + la:pb])
             else:
@@ -425,6 +420,38 @@ class SetKeyedEngine(_Engine):
             assert ok == (key in self.s2_keys or covered), key
             self.checks += 1
         return ok
+
+
+class InvariantEngine(_Engine):
+    """The engine, asserting the two invariants that rule out branches it
+    does not have: over a field every premise of the chain criterion spans
+    intersecting occurrences (:meth:`ncgb.engine._Engine._premise_ok`),
+    and the G-polynomial of every aligned swap in ``_insert`` keeps its
+    leading term when reduced by the reducers left after the swap.
+    ``premises`` and ``swaps`` count the checks."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.premises = self.swaps = 0
+
+    def _premise_ok(self, a, pa, la, b, pb, lb, t):
+        if self.field_mode:
+            assert pa < pb + lb and pb < pa + la, (a, pa, b, pb, t)
+            self.premises += 1
+        return super()._premise_ok(a, pa, la, b, pb, lb, t)
+
+    def _insert(self, h):
+        from ncgb.overlap import spoly1
+
+        h = self.ring.normalize_leading(h)
+        lm, lc = h.terms[0]
+        e = next((k for k, rec in self.active.items() if rec[0] == lm), None)
+        if e is not None and (lm or lc != 1):
+            gp = spoly1(self.active[e][4], h, lm, 0, 0)[1]
+            rest = [rec[4] for k, rec in self.active.items() if k != e]
+            assert normal_form(gp, rest).terms[:1] == gp.terms[:1], self.ring.render(gp)
+            self.swaps += 1
+        super()._insert(h)
 
 
 class _CheckedReducers(_ReducerSet):

@@ -38,6 +38,7 @@ from ncgb.overlap import spoly1, spoly2
 from conftest import (
     EagerEngine,
     FreshReducersEngine,
+    InvariantEngine,
     SetKeyedEngine,
     discarded_pair_polys,
     make_ring,
@@ -484,6 +485,54 @@ def test_family_cursor_answers_as_the_dequeued_key_set():
         assert len(got.discard_log) == len(plain.discard_log), i
         checks += n
     assert checks > on_examples
+    _elapsed_under(120, t0)
+
+
+def test_field_premises_intersect_and_aligned_swaps_keep_their_leading_term():
+    """The invariants behind two branches the engine does not have
+    (``InvariantEngine``): over Q, Z/5 and Z/7 every premise of the chain
+    criterion spans intersecting occurrences, on the skew, torsion and
+    commutator ideals and on random ideals; over Z every aligned swap's
+    G-polynomial keeps its leading term, on the acceptance examples and on
+    random ideals with constants.  The runs equal the plain engine's."""
+    t0 = time.monotonic()
+
+    def run(ring, gens, bound, tail=True):
+        checked = InvariantEngine(ring, bound, True, tail, False)
+        got = checked.run(gens)
+        plain = buchberger(ring, gens, bound, tail_reduce=tail)
+        assert got.stats == plain.stats
+        assert [g.terms for g in got.basis] == [g.terms for g in plain.basis]
+        return checked
+
+    premises = swaps = 0
+    fields = (QQ, residue_domain(5), residue_domain(7))
+    orders = (DEG_LEFT_LEX, DEG_RIGHT_LEX)
+    for domain, kind, ranked in itertools.product(fields, orders, ("xyz", "zyx", "yxz")):
+        for text in (SKEW_GENS, TORSION_GENS, COMMUTATOR_GENS):
+            ring = make_ring(domain, "xyz", kind, list(ranked))
+            premises += run(ring, polys(ring, text), 9).premises
+    rng = random.Random(20261021)
+    for domain in (QQ, residue_domain(5), residue_domain(7), ZZ):
+        for i in range(60):
+            nletters = rng.randint(1, 3)
+            names = "abc"[:nletters]
+            kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+            ring = make_ring(domain, names, kind, list(names))
+            gens = random_polys(
+                ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6
+            )
+            if domain is ZZ and i % 3 == 0:
+                gens.append(ring.poly([(b"", ring.domain.coerce(rng.choice([2, 3, 4, 6])))]))
+            if gens:
+                checked = run(ring, gens, rng.randint(3, 6), i % 4 < 2)
+                premises += checked.premises
+                swaps += checked.swaps
+    for label, build in EXAMPLES:
+        ring, gens, _, bound, _ = build()
+        if not ring.domain.is_field:
+            swaps += run(ring, gens, bound, label not in _TAIL_OFF).swaps
+    assert premises > 1000 and swaps > 50, (premises, swaps)
     _elapsed_under(120, t0)
 
 

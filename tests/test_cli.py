@@ -524,6 +524,16 @@ def test_cli_missing_file_exits_1(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(tmp_path, capsys, INTRO, "--equiv", "-")
     assert (code, out) == (1, "")
     assert err == "error: [Errno 2] No such file or directory: '-'\n"
+    # bytes that are not UTF-8, in a job file's comment or in an --equiv file
+    job = tmp_path / "latin1.txt"
+    job.write_bytes(b"# caf\xff\n" + INTRO.encode())
+    (tmp_path / "target.txt").write_bytes(b"2*x, 3*y \xff")
+    for argv in ([str(job)], [str(tmp_path / "job.txt"), "--equiv", "target.txt"]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position ")
+        assert err.count("\n") == 1
 
 
 def test_cli_reads_stdin(monkeypatch, capsys):

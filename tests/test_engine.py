@@ -542,6 +542,10 @@ def test_monomial_basis_small():
     assert sorted(r.render_word(w) for w in mb) == ["1", "y", "y^2"]
     # ascending in the monomial order: 1 < y < x under left-lex with x > y
     assert monomial_basis([], 1, ring=r) == [b"", b"\x01", b"\x00"]
+    # over Z the list is not the irreducible words: x is irreducible modulo 2x
+    two_x = polys(r, "2*x")
+    assert normal_form(poly(r, "x"), two_x) == poly(r, "x")
+    assert [r.render_word(w) for w in monomial_basis(two_x, 1)] == ["1", "y"]
 
 
 def test_verify_catches_incomplete_basis():
