@@ -511,7 +511,8 @@ def _parser() -> argparse.ArgumentParser:
                     dest="tail_reduce",
                     help="force tail reduction on (overrides job options)")
     ap.add_argument("--monomials", type=int, metavar="N", default=None,
-                    help="also print the normal words up to length N (0..bound)")
+                    help="also print the words up to length N that contain no leading "
+                         "word of the basis (0..bound)")
     ap.add_argument("--equiv", metavar="FILE", default=None,
                     help="compare against the comma-separated polynomials in FILE")
     ap.add_argument("--output", choices=("text", "json"), default="text")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
-from .overlap import g_cofactors, overlaps, pair_poly, s_cofactors, spoly1, spoly2
+from .overlap import g_cofactors, overlaps, pair_poly, s_cofactors, sides, spoly1
 
 FLAG_COMPLETE = "conjecturally-complete"
 FLAG_TRUNCATED = "truncated"
@@ -208,7 +208,8 @@ class _WordForms:
     The memo maps a unit-led word to its expansion into leaf and frontier
     words, flat as ``(word, coeff, word, coeff, ...)`` with nonzero
     coefficients, and a leaf or frontier word to its sentinel; ``size``
-    counts the terms it holds.
+    counts the terms it holds.  A sum of placed summands is tested
+    unmerged, as the sum of forms is linear (see :func:`verify_strong_basis`).
     """
 
     __slots__ = (
@@ -313,26 +314,34 @@ class _WordForms:
             self.size = 0
 
     def reduces_to_zero(self, p: Polynomial) -> bool:
-        """Does :func:`normal_form` reduce ``p`` to zero?
+        """Does :func:`normal_form` reduce ``p`` to zero?"""
+        return self.sum_reduces_to_zero(((1, b"", b"", p.terms),))
 
-        Sums ``c * form(w)`` over the terms of ``p``, then steps the
-        frontier words of the sum in descending order, adding each step's
-        precomputed spread.  False as soon as a frontier word has no step;
-        otherwise True when every leaf coefficient is zero.
+    def sum_reduces_to_zero(self, parts) -> bool:
+        """Does :func:`normal_form` reduce ``sum(scale * l*terms*r)`` over
+        ``parts`` ``(scale, l, r, terms)`` to zero?
+
+        Sums ``scale*c_u * form(l*u*r)`` over the terms ``(u, c_u)`` of
+        every part, then steps the frontier words of the sum in descending
+        order, adding each step's precomputed spread.  False as soon as a
+        frontier word has no step; otherwise True when every leaf
+        coefficient is zero.
         """
         memo, form = self.memo, self.form
         acc: dict[Word, object] = {}
         get = acc.get
-        for w, c in p.terms:
-            f = memo.get(w)
-            if f is None:
-                f = form(w)
-            if f.__class__ is not str:
-                it = iter(f)
-                for y, cy in zip(it, it):
-                    acc[y] = get(y, 0) + c * cy
-            else:
-                acc[w] = get(w, 0) + c
+        for scale, l, r, terms in parts:
+            for u, cu in terms:
+                w, c = l + u + r, scale * cu
+                f = memo.get(w)
+                if f is None:
+                    f = form(w)
+                if f.__class__ is not str:
+                    it = iter(f)
+                    for y, cy in zip(it, it):
+                        acc[y] = get(y, 0) + c * cy
+                else:
+                    acc[w] = get(w, 0) + c
         if self.mixed:
             heap = [self._frontier(y) for y in acc if memo[y] is _FRONTIER]
             if heap and not self._step_frontier(acc, heap):
@@ -1222,6 +1231,16 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
       exactly over Z, and over Z/m coefficients are reduced when a word is
       popped and when the sum is tested.  A word's steps stop at its first
       reducer with a unit leading coefficient, which steps any nonzero one.
+    * No pair polynomial is built.  The S-cofactors ``(a_f, -a_g)`` and
+      G-cofactors ``(b_f, b_g)`` are computed once per basis pair, and each
+      placement sends ``x*lf*f*rf`` and ``y*lg*g*rg`` to
+      :meth:`_WordForms.sum_reduces_to_zero` unmerged.  The sum of forms is
+      linear, so terms of both on one word ``w`` give ``(c1+c2)*form(w)``.
+      An S-pair sends only the tails: its leading terms cancel exactly, as
+      ``a_f*LC(f) == a_g*LC(g)`` (on the integer lifts over Z/m).  Over
+      Z/m a product ``x*c_u`` that is 0 mod m adds only multiples of m,
+      which vanish as frontier words are reduced when popped and leaves
+      when the sum is tested.
     * Full reduction is zero exactly when every frontier word's
       coefficient is stepped away and every leaf coefficient is zero.
       Lm-reduction applies the same steps as full reduction until the
@@ -1244,14 +1263,14 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     terms.  Entries are not counted: counted, they clear the field memo
     of the skew ideal over Q at d=9 (16,084 entries, 298 terms), which
     took its check from 0.29 to 0.47 s.  The budget is from a sweep of
-    perfbench ``verify-zz`` (skew over Z at d=9, 2-vCPU Xeon, 6 s runs;
-    budget: wall s, peak RSS MB): 0: 0.82, 26.7; 4,000: 0.74, 26.6;
-    8,000: 0.65, 26.6; 14,000: 0.63, 26.6; 17,000: 0.63, 27.0;
-    unbounded: 0.48, 31.6.
+    perfbench ``verify-zz`` (skew over Z at d=9, 2-vCPU Xeon, two 6 s runs
+    each; budget: wall s, peak RSS MB): 0: 0.71, 26.9; 4,000: 0.60, 27.0;
+    8,000: 0.55, 26.9; 14,000: 0.52, 26.9; 17,000: 0.50, 27.0; 25,000:
+    0.49, 27.7; unbounded: 0.38, 31.5.
     """
     failures: list[tuple] = []
     live = [i for i, g in enumerate(basis) if g.terms]
-    nletters = len(ring.alphabet)
+    dom = ring.domain
 
     # Zero-testing does not depend on the reduction strategy (any maximal
     # reduction of an element of the ideal terminates at zero once the
@@ -1262,7 +1281,24 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
         key=lambda g: (len(g.leading_word()), abs(g.leading_coeff())),
     )
     forms = _WordForms(_ReducerSet(ring, order))
-    reduces_to_zero = forms.reduces_to_zero
+    sum_reduces_to_zero = forms.sum_reduces_to_zero
+
+    def summands(f: Polynomial, g: Polynomial) -> list:
+        """``[(kind, (x, f's terms), (y, g's terms))]``: S on the tails, then G."""
+        cf, cg = f.leading_coeff(), g.leading_coeff()
+        af, ag = s_cofactors(dom, cf, cg)
+        out = [("S", (af, f.terms[1:]), (dom.neg(ag), g.terms[1:]))]
+        if not dom.is_field:
+            bf, bg, _ = g_cofactors(dom, cf, cg)
+            out.append(("G", (bf, f.terms), (bg, g.terms)))
+        return out
+
+    def check(pair: list, typ: str, i: int, j: int, t: Word, pf: int, pg: int, data) -> None:
+        lf, rf = sides(basis[i], t, pf)
+        lg, rg = sides(basis[j], t, pg)
+        for kind, (x, fterms), (y, gterms) in pair:
+            if not sum_reduces_to_zero(((x, lf, rf, fterms), (y, lg, rg, gterms))):
+                failures.append((kind + typ, i, j, data))
 
     for a, i in enumerate(live):
         for j in live[a:]:
@@ -1276,28 +1312,19 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
                     rels = [(lmf, 0, 0)] + rels
             else:
                 rels = []
+            pair = summands(f, g)
             for pl in rels:
-                if len(pl[0]) > d:
-                    continue
-                sp, gp = spoly1(f, g, *pl)
-                if not reduces_to_zero(sp):
-                    failures.append(("S1", i, j, pl))
-                if gp is not None and not reduces_to_zero(gp):
-                    failures.append(("G1", i, j, pl))
+                if len(pl[0]) <= d:
+                    check(pair, "1", i, j, *pl, pl)
             forms.next_pair()
 
     for i in live:
         for j in live:
-            f, g = basis[i], basis[j]
-            base = len(f.leading_word()) + len(g.leading_word())
-            monomials = len(f.terms) == 1 and len(g.terms) == 1
-            for k in range(d - base + 1):
-                for letters in itertools.product(range(nletters), repeat=k):
+            lmf, lmg = basis[i].leading_word(), basis[j].leading_word()
+            pair = summands(basis[i], basis[j])
+            for k in range(d - len(lmf) - len(lmg) + 1):
+                for letters in itertools.product(range(len(ring.alphabet)), repeat=k):
                     w = bytes(letters)
-                    sp, gp = spoly2(f, g, w)
-                    if not monomials and not reduces_to_zero(sp):
-                        failures.append(("S2", i, j, w))
-                    if gp is not None and not reduces_to_zero(gp):
-                        failures.append(("G2", i, j, w))
+                    check(pair, "2", i, j, lmf + w + lmg, 0, len(lmf) + k, w)
             forms.next_pair()
     return failures

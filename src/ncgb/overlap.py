@@ -103,17 +103,21 @@ def g_cofactors(domain: Domain, cf: Coefficient, cg: Coefficient):
 # S/G-polynomials
 # ---------------------------------------------------------------------------
 
+def sides(f: Polynomial, t: Word, p: int) -> tuple[Word, Word]:
+    """``(l, r)`` with ``t == l·LM(f)·r``, the leading word of ``f``
+    occurring in ``t`` at ``p``."""
+    return t[:p], t[p + len(f.leading_word()):]
+
+
 def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, x, y) -> Polynomial:
     """``x·lf·f·rf + y·lg·g·rg`` on the common word ``t``, where the
     leading words of ``f`` and ``g`` occur in ``t`` at ``pf`` and ``pg``
-    (``t == lf·LM(f)·rf == lg·LM(g)·rg``).  The S-cofactors ``(x, y) =
-    (a_f, -a_g)`` cancel the leading terms; the G-cofactors ``(b_f,
-    b_g)`` leave ``gcd(LC(f), LC(g))`` on ``t``."""
+    (``t == lf·LM(f)·rf == lg·LM(g)·rg``, see :func:`sides`).  The
+    S-cofactors ``(x, y) = (a_f, -a_g)`` cancel the leading terms; the
+    G-cofactors ``(b_f, b_g)`` leave ``gcd(LC(f), LC(g))`` on ``t``."""
     ring = f.ring
-    ef = pf + len(f.leading_word())
-    eg = pg + len(g.leading_word())
     return ring.add(
-        ring.scaled_translate(x, t[:pf], t[ef:], f), ring.scaled_translate(y, t[:pg], t[eg:], g)
+        ring.scaled_translate(x, *sides(f, t, pf), f), ring.scaled_translate(y, *sides(g, t, pg), g)
     )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,7 +26,7 @@ from ncgb import (
 )
 from ncgb.cli import parse_job
 from ncgb.coeffring import ext_gcd, lcm_coeff, residue_domain
-from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors, spoly2
+from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors, sides, spoly2
 from ncgb import engine
 from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms, _reducer
 
@@ -684,6 +685,106 @@ def test_verifier_word_forms_on_random_bases(domain, monkeypatch):
             _check_spreads(forms, r)
         mixed += forms.size > 0 and len(forms.frontier) > 0
     assert mixed >= 5, mixed
+
+
+def _s_tail_events(ring, basis, d):
+    """Over the first-type S-pairs of ``basis`` within ``d``, as the
+    verifier streams them (two placed tails, S-cofactors ``(a_f, -a_g)``):
+    the placed tail products ``scale*c_u`` that are 0 mod the modulus, and
+    the words on which both tails land and cancel."""
+    dom, modulus = ring.domain, ring.domain.modulus
+    zero_products = cancelled = 0
+    for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
+        f, g = basis[i], basis[j]
+        rels = engine._first_type(f.leading_word(), g.leading_word())
+        if i != j and f.leading_word() == g.leading_word():
+            rels = [(f.leading_word(), 0, 0)] + rels
+        af, ag = s_cofactors(dom, f.leading_coeff(), g.leading_coeff())
+        for t, pf, pg in rels:
+            if len(t) > d:
+                continue
+            sums = [{}, {}]
+            for side, (h, x, p) in enumerate(((f, af, pf), (g, dom.neg(ag), pg))):
+                l, r = sides(h, t, p)
+                for u, cu in h.terms[1:]:
+                    c = x * cu
+                    zero_products += modulus is not None and c % modulus == 0
+                    sums[side][l + u + r] = sums[side].get(l + u + r, 0) + c
+            for w in sums[0].keys() & sums[1].keys():
+                c = sums[0][w] + sums[1][w]
+                cancelled += (c if modulus is None else c % modulus) == 0
+    return zero_products, cancelled
+
+
+@pytest.mark.parametrize("domain", [QQ, residue_domain(7), residue_domain(6)],
+                         ids=["Q", "Z7", "Z6"])
+def test_streamed_verifier_on_non_monic_random_bases(domain, monkeypatch):
+    # the verifier sums each pair's two placed summands into the word forms
+    # without building the pair polynomial, and skips an S-pair's leading
+    # terms; on random bases with no monic element (so the field
+    # S-cofactors are not 1), in which elements share leading words and
+    # tail words scaled so that the S-pair's tails cancel, and over Z/6
+    # tail products vanish mod 6, its failures are lm-reduction's under
+    # every memo budget
+    rng = random.Random(20261020)
+    r = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
+    d = 5
+    lcs = [2, -3, Fraction(5, 2), 7] if domain is QQ else [2, 3, 4, 5]
+
+    def word(lo, hi):
+        return bytes(rng.randrange(3) for _ in range(rng.randint(lo, hi)))
+
+    zero_products = cancelled = failing = 0
+    for _ in range(12):
+        specs = []  # (leading word, leading coefficient, tail terms (u, e) of e*lc*u)
+        for _ in range(rng.randint(3, 4)):
+            if specs and rng.random() < 0.5:
+                # an earlier element's leading word and some of its tail
+                # words, scaled by this element's leading coefficient
+                lm, _, shared = rng.choice(specs)
+                tail = [t for t in shared if rng.random() < 0.7]
+            else:
+                lm, tail = word(2, 3), []
+            tail += [(word(0, len(lm) - 1), rng.choice([1, -1, 2, 3, -4]))
+                     for _ in range(rng.randint(1, 2))]
+            specs.append((lm, rng.choice(lcs), tail))
+        basis = [r.poly([(lm, domain.coerce(lc))] + [(u, domain.coerce(e * lc)) for u, e in tail])
+                 for lm, lc, tail in specs]
+        assert all(g.leading_coeff() != 1 for g in basis)
+        events = _s_tail_events(r, basis, d)
+        zero_products += events[0]
+        cancelled += events[1]
+        want = verify_by_lm_reduction(r, basis, d)
+        failing += bool(want)
+        for budget in (0, 30, float("inf")):
+            monkeypatch.setattr(engine, "_MEMO_BUDGET", budget)
+            assert verify_strong_basis(r, basis, d) == want, (budget, [r.render(g) for g in basis])
+    assert failing >= 6 and cancelled >= 20, (failing, cancelled)
+    if domain.modulus == 6:
+        assert zero_products >= 20, zero_products
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ], ids=["Z", "Q"])
+def test_verifier_builds_no_pair_polynomial(domain, monkeypatch):
+    # the verifier streams each pair's placed summands into the word forms:
+    # with the pair-polynomial builder and the term merge raising, it
+    # gives the same failures on the skew basis and on every basis with
+    # one element dropped
+    d = 6
+    r = make_ring(domain, "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    basis = buchberger(r, polys(r, SKEW), d).basis
+    cases = [basis] + [basis[:k] + basis[k + 1:] for k in range(len(basis))]
+    want = [verify_by_lm_reduction(r, b, d) for b in cases]
+    assert want[0] == [] and any(want)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verifier built a pair polynomial")
+
+    from ncgb import freealg, overlap
+    monkeypatch.setattr(overlap, "pair_poly", forbidden)
+    monkeypatch.setattr(engine, "pair_poly", forbidden)
+    monkeypatch.setattr(freealg.FreeAlgebra, "merge_terms", forbidden)
+    assert [verify_strong_basis(r, b, d) for b in cases] == want
 
 
 def test_verifier_skips_zero_elements():
