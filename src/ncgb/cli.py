@@ -22,9 +22,11 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffring import DomainKind, QQ, ZZ, residue_domain
 from .engine import buchberger, gb_equivalent, monomial_basis
@@ -45,9 +47,6 @@ _ORDER_TOKENS = {
     "wdeglex": WEIGHTED_DEG_LEFT_LEX,
 }
 
-_PUNCT = ";,<>()*^+-[]"
-# ASCII only: str.isdigit also accepts digits such as "²" and "٣"
-_DIGITS = frozenset("0123456789")
 # the most digits a literal may have (int()'s limit, or CPython's default
 # where the limit is off); it also bounds a power and a product
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
@@ -82,56 +81,41 @@ class Job:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "nat" | "punct" | "eof"
     value: str
-    line: int
-    col: int
+    pos: int  # offset in the text
+
+
+# \s is str.isspace() and \w is str.isalnum() or "_"; a natural number is
+# ASCII digits only, as str.isdigit also accepts digits such as "²" and "٣"
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<comment>#[^\n]*)|(?P<nat>[0-9]+)|(?P<ident>\w+)"
+    r"|(?P<punct>[;,<>()*^+\-\[\]])|(?P<other>.)",
+    re.DOTALL,
+)
+
+
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """The line and column, both from 1, of offset ``pos`` in ``text``."""
+    start = text.rfind("\n", 0, pos) + 1
+    return text.count("\n", 0, start) + 1, pos - start + 1
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "space" or kind == "comment":
             continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("nat", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Token("punct", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise JobError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+        # a word must start with a letter or "_", not a digit such as "²"
+        if kind == "other" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+            raise JobError(f"unexpected character {value[0]!r}", *_where(text, m.start()))
+        toks.append(_Token(kind, value, m.start()))
+    # input that ends inside a comment ends where the comment starts
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    toks.append(_Token("eof", "", end))
     return toks
 
 
@@ -140,8 +124,9 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         # the job's length bound, once its ring declaration is parsed
         self.bound: int | None = None
@@ -157,7 +142,7 @@ class _Parser:
 
     def fail(self, msg: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise JobError(msg, tok.line, tok.col)
+        raise JobError(msg, *_where(self.text, tok.pos))
 
     def expect_punct(self, ch: str) -> _Token:
         t = self.peek()
@@ -271,7 +256,7 @@ class _Parser:
         try:
             return list(self.items(functools.partial(self.parse_polyexpr, ring)))
         except RecursionError:
-            raise JobError("expression nested too deeply", start.line, start.col) from None
+            raise JobError("expression nested too deeply", *_where(self.text, start.pos)) from None
 
     def parse_polyexpr(self, ring: FreeAlgebra) -> Polynomial:
         acc = self.parse_signed_term(ring)
@@ -386,7 +371,7 @@ _OPTION_NAMES = {
 
 def parse_job(text: str) -> Job:
     """Parse a complete job file.  Raises :class:`JobError` on bad input."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     ring, bound = p.parse_ring_decl()
     p.bound = bound
     gens: list[Polynomial] = []
@@ -411,7 +396,7 @@ def parse_poly_list(text: str, ring: FreeAlgebra, bound: int | None = None) -> l
     """Comma-separated polynomial expressions (used by ``--equiv`` files);
     a trailing semicolon is allowed.  With a ``bound``, powers, products
     and commutators are length-checked as in a job."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     p.bound = bound
     out = p.parse_polys(ring)
     if p.peek().value == ";":

@@ -600,17 +600,18 @@ class _Engine:
         self.active: dict[int, tuple] = {}
         self.reducers = _ReducerSet(ring, ())
         self.reducers.reducers = self.active.values()
-        # queued pairs (weight, seq, kind, i, j, data): the weight is the
+        # pending work (weight, seq, kind, i, j, data), popped in that
+        # order, each entry with its own sequence number: the weight is the
         # length of the common word; data is the placement (t, pi, pj) of a
         # first-type pair, the word ranks (r, r_end) of a range of
         # second-type ones (see _walk), and the raw polynomial of a
-        # re-enqueued element (kind "P", i = j = -1).  A range reserves
-        # one sequence number per word, and queued counts pairs, a range
-        # one per word still in it.
+        # re-enqueued element (kind "P", i = j = -1).  A level entry
+        # (lvl, -1, n, a, b, None) materialises the second-type pairs of
+        # ordered (a, b) at level lvl once due (see _register).  queued
+        # counts pairs, a range one per word still in it.
         self.heap: list[tuple] = []
         self.seq = 0
         self.queued = 0
-        self.buckets: dict[int, list[tuple[int, int]]] = {}
         self.level_done = 0
         self.processed: set[tuple] = set()
         self.meta: dict[tuple[int, int], _PairMeta] = {}
@@ -625,7 +626,7 @@ class _Engine:
 
     def _push(self, weight: int, kind: str, i: int, j: int, data, size: int = 1) -> None:
         heapq.heappush(self.heap, (weight, self.seq, kind, i, j, data))
-        self.seq += size
+        self.seq += 1
         self.queued += size
         if self.queued > self.stats.peak_queue_size:
             self.stats.peak_queue_size = self.queued
@@ -672,8 +673,9 @@ class _Engine:
                     for lvl in range(base, self.d + 1):
                         if lvl <= self.level_done:
                             self._materialize(a, b, lvl)
-                        else:
-                            self.buckets.setdefault(lvl, []).append((a, b))
+                        else:  # due before every pair of its level
+                            heapq.heappush(self.heap, (lvl, -1, self.seq, a, b, None))
+                            self.seq += 1
 
     def _materialize(self, a: int, b: int, lvl: int) -> None:
         """Create the second-type pairs of ordered ``(a, b)`` whose
@@ -737,15 +739,14 @@ class _Engine:
         It was dequeued exactly when ``(span, gap) <= last``, the cursor
         of ``(first, second)``.  A family is pushed in ``(level, w)``
         order: levels up to ``level_done`` at registration, later ones
-        from their buckets in level order, and within a level as ranges
-        of words in bytes order, each range reserving one sequence number
-        per word, in that order.  The heap pops by level, then by
-        sequence number, and :meth:`_walk` dequeues a range's words in
-        order, pushing back what is left under its next word's reserved
-        number; so the words are dequeued in the order of their numbers,
-        which is the family's ``(level, w)`` order.  The words never
-        pushed are those the product criterion dropped, and for them the
-        fallback holds either way."""
+        as their level entries pop, in level order, and within a level as
+        ranges of words in bytes order, each with the next sequence
+        number.  The heap pops by level, then by sequence number, and
+        :meth:`_walk` dequeues a range's words in order, pushing back
+        what is left under the range's own number, ahead of the family's
+        later ranges; so the words are dequeued in the family's ``(level,
+        w)`` order.  The words never pushed are those the product
+        criterion dropped, and for them the fallback holds either way."""
         if pa < pb + lb and pb < pa + la:
             lo = min(pa, pb)
             hi = max(pa + la, pb + lb)
@@ -807,7 +808,6 @@ class _Engine:
                 # unit constant (h is normalised): the whole ring
                 self.unit = True
                 self.heap.clear()
-                self.buckets.clear()
                 self.queued = 0
                 return
             e = next((k for k, rec in self.active.items() if rec[0] == lm), None)
@@ -891,7 +891,7 @@ class _Engine:
     def _walk(self, lvl: int, seq: int, kind: str, a: int, b: int, r: int, r_end: int) -> None:
         """Dequeue the second-type pairs of ordered ``(a, b)`` at the
         words of ranks ``r .. r_end-1`` (length ``k``, bytes order), whose
-        entry had sequence number ``seq``.
+        entry has sequence number ``seq``.
 
         *Lemma.*  Let ``t = LM(a)·w·LM(b)`` have length ``L``, and let
         the nonempty leading word of an active ``c`` whose leading
@@ -906,17 +906,17 @@ class _Engine:
         ``a``, ``b`` and ``c`` are active now, and an index is never
         reused, so each premise's family has had both elements active
         since its registration.  Its level, below ``L``, was materialised
-        at registration (up to ``level_done``) or from its bucket, which
-        the main loop empties before anything heavier pops; the heap pops
-        by weight and holds nothing lighter than ``L`` while a pair of
-        weight ``L`` is dequeued (an insertion ends the walk below).  So
-        each premise was dequeued, and sits at or under its family's
-        cursor ``last`` (:meth:`_premise_ok`), or was never queued because
-        the product criterion dropped it; either way :meth:`_premise_ok`
-        accepts it.  The first condition needs ``w``'s occurrence to start
-        past ``t``'s start when ``LM(a)`` is empty, and to end before
-        ``t``'s end when ``LM(b)`` is empty; otherwise a premise spans
-        all of ``t`` and is not yet handled.
+        at registration (up to ``level_done``) or by a level entry of
+        weight below ``L``; the heap pops by weight and holds nothing
+        lighter than ``L`` while a pair of weight ``L`` is dequeued (an
+        insertion ends the walk below).  So each premise was dequeued, and
+        sits at or under its family's cursor ``last``
+        (:meth:`_premise_ok`), or was never queued because the product
+        criterion dropped it; either way :meth:`_premise_ok` accepts it.
+        The first condition needs ``w``'s occurrence to start past ``t``'s
+        start when ``LM(a)`` is empty, and to end before ``t``'s end when
+        ``LM(b)`` is empty; otherwise a premise spans all of ``t`` and is
+        not yet handled.
 
         So when the shortest prefix ``w[:e]`` that ends such an occurrence
         exists, every word with that prefix is discarded: :func:`_avoiding`
@@ -933,11 +933,12 @@ class _Engine:
         mode's audit reads ``queued``, ``peak_queue_size`` (raised only by a
         push) or a cursor ``last``, and it reads premises on lower levels,
         already at or under their cursors; so all three are as after one
-        cut per subtree.  An insertion can queue lighter pairs
-        and retire elements, so after one the rest of the range is pushed
-        back under its next word's reserved number; the words are then
-        dequeued in the order and with the decisions of one queue entry
-        per word.  A range of a retired element is dropped.
+        cut per subtree.  An insertion can queue lighter pairs and retire
+        elements, so after one the rest of the range is pushed back under
+        the range's own number, which no other entry holds: it sorts
+        against every other entry as its words' own entries would, and
+        they are dequeued in the order and with the decisions of one queue
+        entry per word.  A range of a retired element is dropped.
         """
         if a not in self.active or b not in self.active:
             self.queued -= r_end - r
@@ -961,7 +962,7 @@ class _Engine:
                 return
             if self.stats.basis_insertions != inserted:
                 if x + 1 < r_end:
-                    heapq.heappush(self.heap, (lvl, seq + x + 1 - r, kind, a, b, (x + 1, r_end)))
+                    heapq.heappush(self.heap, (lvl, seq, kind, a, b, (x + 1, r_end)))
                 return
 
     def _cut(self, lvl: int, kind: str, a: int, b: int, r: int, stop: int) -> None:
@@ -998,18 +999,12 @@ class _Engine:
                 break
             self._absorb(g)
 
-        while not self.unit:
-            nxt = min(self.buckets) if self.buckets else None
-            top = self.heap[0][0] if self.heap else None
-            if nxt is not None and (top is None or nxt <= top):
-                self.level_done = max(self.level_done, nxt)
-                for a, b in self.buckets.pop(nxt):
-                    self._materialize(a, b, nxt)
-                continue
-            if top is None:
-                break
+        while self.heap and not self.unit:
             lvl, seq, kind, i, j, data = heapq.heappop(self.heap)
-            if kind in (S2, G2):
+            if seq < 0:
+                self.level_done = lvl
+                self._materialize(i, j, lvl)
+            elif kind in (S2, G2):
                 self._walk(lvl, seq, kind, i, j, *data)
             else:
                 self.queued -= 1
@@ -1162,13 +1157,13 @@ def gb_equivalent(G1: list[Polynomial], G2: list[Polynomial], d: int) -> bool:
     minimal leading terms ``(word, norm of coefficient)`` with words of
     length <= ``d``, which :func:`interreduce` keeps (coefficients matter:
     ``{2x}`` and ``{3x}`` have equal leading words but different ideals).
+    Each side is prepared once as the reducers of the other.
     """
-    for g in G1:
-        if not normal_form(g, G2, tail_reduce=False).is_zero:
-            return False
-    for g in G2:
-        if not normal_form(g, G1, tail_reduce=False).is_zero:
-            return False
+    for A, B in ((G1, G2), (G2, G1)):
+        if A:
+            prepared = _ReducerSet(A[0].ring, B)
+            if not all(normal_form(g, prepared).is_zero for g in A):
+                return False
 
     def minimal(G):
         return {

@@ -9,6 +9,7 @@ only where the output is pinned down completely.  Every gate also
 asserts its wall-clock ceiling.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -31,7 +32,7 @@ from ncgb import (
     verify_strong_basis,
 )
 from ncgb.coeffring import residue_domain
-from ncgb.engine import _ReducerSet, _WordForms
+from ncgb.engine import _Engine, _ReducerSet, _WordForms
 from ncgb.modlift import gb_zmod
 from ncgb.overlap import spoly1, spoly2
 
@@ -588,6 +589,64 @@ def test_word_ranges_decide_as_one_queue_entry_per_pair():
         runs += 1
     assert runs >= 90 and constants >= 30
     assert cut > 0
+    _elapsed_under(120, t0)
+
+
+class _CallRecordingEngine(_Engine):
+    """The engine, recording every ``_process(kind, i, j, data)`` and
+    ``_cut(lvl, kind, a, b, r, stop)`` call in ``calls``, a re-enqueued
+    element by its terms."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def _process(self, kind, i, j, data):
+        self.calls.append(("process", kind, i, j, data.terms if kind == "P" else data))
+        super()._process(kind, i, j, data)
+
+    def _cut(self, lvl, kind, a, b, r, stop):
+        self.calls.append(("cut", lvl, kind, a, b, r, stop))
+        super()._cut(lvl, kind, a, b, r, stop)
+
+
+def test_dequeue_order_is_pinned():
+    """The sequence of dequeued pairs and chain cuts, on the acceptance
+    examples over Z and on seeded random ideals over Z and Q, hashed and
+    pinned: a change to the pair queue must dequeue the same pairs, in
+    the same order, with the same decisions.  Bases and ``Stats`` can
+    stay equal under a different order, so the other gates do not pin
+    it."""
+    t0 = time.monotonic()
+    digest = hashlib.sha256()
+    runs = 0
+
+    def record(ring, gens, bound, tail):
+        nonlocal runs
+        eng = _CallRecordingEngine(ring, bound, True, tail, False)
+        eng.run(gens)
+        digest.update(repr(eng.calls).encode())
+        runs += 1
+
+    for label, build in EXAMPLES:
+        ring, gens, _, bound, _ = build()
+        if ring.domain == ZZ:
+            record(ring, gens, bound, label not in _TAIL_OFF)
+
+    rng = random.Random(20261021)
+    for domain in (ZZ, QQ):
+        for i in range(30):
+            nletters = rng.randint(1, 3)
+            names = "abc"[:nletters]
+            kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+            ring = make_ring(domain, names, kind, list(names))
+            gens = random_polys(
+                ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6
+            )
+            if gens:
+                record(ring, gens, rng.randint(3, 6), i % 4 < 2)
+    assert runs >= 60
+    assert digest.hexdigest() == "0b9ce6dbc931f736c1d229f21e0d78b0a721d5febb012a02efd302e53b6d0a2d"
     _elapsed_under(120, t0)
 
 

@@ -1,8 +1,10 @@
 """Job-file parsing and the command-line front end."""
 
+import ast
 import contextlib
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -92,6 +94,9 @@ def test_parse_job_multiple_ideal_statements():
         # the 256th name fails before the trailing comma's syntax error
         ("ring Z <" + ",".join(f"v{i}" for i in range(300)) + ",> deglex(v0) bound 3;",
          "line 1 col 1174: at most 255 variables supported"),
+        # input that ends inside a comment ends where the comment starts
+        ("ring Z <x> deglex(x) bound 3;\nideal x # c", "line 2 col 9: expected ';'"),
+        ("ring Z <x> deglex(x) bound 3;\nideal x # c\n", "line 3 col 1: expected ';'"),
     ],
 )
 def test_parse_job_errors(src, msg):
@@ -128,6 +133,36 @@ def test_parse_job_returns_job_or_raises_job_error(text):
     except JobError:
         return
     assert isinstance(job, Job)
+
+
+# Unicode spaces, non-ASCII letters and digits, a combining mark and comments
+_UNICODE_PIECES = [
+    "\t", "\r", "\x0b", "\u2028", "é", "²", "٣", "Ⅻ", "\u0301", "e\u0301",
+    "x²", "_٣", "xé", "# é ² note", "#",
+]
+
+
+def test_parse_job_errors_point_at_their_position():
+    # every error points inside the text or just past a line's end, and an
+    # unexpected character's position is that character's, with columns
+    # counted in code points along the "\n"-separated lines
+    rng = random.Random(20261022)
+    pieces = [*_JOB_TOKENS, *_UNICODE_PIECES, *map(str, range(13))]
+    unexpected = 0
+    for _ in range(4000):
+        parts = [rng.choice(_HEADERS), *rng.choices(pieces, k=rng.randint(0, 20))]
+        text = "".join(part + rng.choice(["", " ", " ", "\n"]) for part in parts)
+        try:
+            parse_job(text)
+        except JobError as exc:
+            lines = text.split("\n")
+            assert 1 <= exc.line <= len(lines) and 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+            assert str(exc).startswith(f"line {exc.line} col {exc.col}: ")
+            m = re.fullmatch(r"line \d+ col \d+: unexpected character (.+)", str(exc), re.DOTALL)
+            if m:
+                assert lines[exc.line - 1][exc.col - 1] == ast.literal_eval(m[1]), text
+                unexpected += 1
+    assert unexpected > 500
 
 
 @st.composite

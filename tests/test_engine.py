@@ -536,6 +536,23 @@ def test_gb_equivalent_distinguishes_coefficients():
     assert not gb_equivalent(polys(r6, "2*x"), polys(r6, "3*x"), 3)
 
 
+def test_gb_equivalent_prepares_each_basis_once(monkeypatch):
+    # one _reducer record per nonzero element of each side, not one per
+    # element reduced against it
+    r = make_ring(ZZ, "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    basis = buchberger(r, polys(r, SKEW), 9).basis
+    assert len(basis) == 14
+    calls = []
+    made = engine._reducer
+    monkeypatch.setattr(engine, "_reducer", lambda dom, g: calls.append(g) or made(dom, g))
+    assert gb_equivalent(basis, basis, 9)
+    assert len(calls) == 2 * len(basis)
+    calls.clear()
+    zero = r.poly([])
+    assert gb_equivalent(basis + [zero], basis[1:] + basis[:1], 9)
+    assert len(calls) == 2 * len(basis)
+
+
 def test_monomial_basis_small():
     r = make_ring(ZZ, "xy", DEG_LEFT_LEX, ["x", "y"])
     res = buchberger(r, polys(r, "x"), 2)
