@@ -443,6 +443,12 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
     complete = gb_zmod if ring.domain.kind == DomainKind.RESIDUE else buchberger
     if monomials is not None and not 0 <= monomials <= job.bound:
         return _fail(f"--monomials must lie in 0..{job.bound}, the bound")
+    if equiv_text is not None:
+        # before the completion, so that a malformed target costs no run
+        try:
+            target = parse_poly_list(equiv_text, ring, job.bound)
+        except JobError as exc:
+            return _fail(exc)
     try:
         result = complete(
             ring, job.generators, job.bound,
@@ -460,10 +466,6 @@ def run(job: Job, *, monomials: int | None = None, equiv_text: str | None = None
         words = monomial_basis(result.basis, monomials, ring=ring)
         doc["monomials"] = [ring.render_word(w) for w in words]
     if equiv_text is not None:
-        try:
-            target = parse_poly_list(equiv_text, ring, job.bound)
-        except JobError as exc:
-            return _fail(exc)
         doc["equivalent"] = gb_equivalent(result.basis, target, job.bound)
     if output == "json":
         print(json.dumps(doc))

@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
@@ -199,6 +201,11 @@ _FRONTIER = "frontier"  # its first reducer has a non-unit leading coefficient
 _MEMO_BUDGET = 14_000  # the memo's terms past which next_pair clears it
 
 
+def _lean(c):
+    """``c`` as an ``int`` when it is an integral ``Fraction``, else ``c``."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
 class _WordForms:
     """Reduction to zero through memoised forms of single words; the
     unit-led, frontier and leaf words of ``prepared``'s reducers and the
@@ -210,6 +217,10 @@ class _WordForms:
     coefficients, and a leaf or frontier word to its sentinel; ``size``
     counts the terms it holds.  A sum of placed summands is tested
     unmerged, as the sum of forms is linear (see :func:`verify_strong_basis`).
+    Over Q an integral coefficient of a rule's tail is held as an ``int``:
+    ``int`` and ``Fraction`` mix exactly, and ``Fraction(n) == n`` with the
+    same hash and truth value, so every sum and zero test is unchanged while
+    most of the arithmetic runs on CPython's integers.
     """
 
     __slots__ = (
@@ -231,7 +242,7 @@ class _WordForms:
             if hit is None:
                 tail = None
             else:
-                tail = [(u, -hit[0] * cu) for u, cu in gterms[1:]]
+                tail = [(u, _lean(-hit[0] * cu)) for u, cu in gterms[1:]]
                 if dom.modulus is not None:
                     tail = [(u, c % dom.modulus) for u, c in tail]
             self.rules.append((lmg, lg, tail))
@@ -1236,6 +1247,16 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
       Z/m a product ``x*c_u`` that is 0 mod m adds only multiples of m,
       which vanish as frontier words are reduced when popped and leaves
       when the sum is tested.
+    * Over Q the terms of each basis element are multiplied once by the
+      lcm ``D`` of their denominators, and the S-cofactors of a pair by the
+      other element's lcm, so a placement sends ``D_f*D_g`` times the pair
+      polynomial.  Reduction over a field is linear, so that nonzero
+      multiple reduces to zero exactly when the pair polynomial does.
+      Integral coefficients of these terms, of the cofactors and of the
+      reducers' tails are held as ``int`` (see :class:`_WordForms`), so
+      ``Fraction`` products are made per basis pair (the cofactors and
+      their scalings) and per memo term, not per placement: 466 on the
+      skew ideal over Q at d=9.  Over Z and Z/m every lcm is 1.
     * Full reduction is zero exactly when every frontier word's
       coefficient is stepped away and every leaf coefficient is zero.
       Lm-reduction applies the same steps as full reduction until the
@@ -1257,7 +1278,8 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     pair the memo is cleared once it holds more than ``_MEMO_BUDGET``
     terms.  Entries are not counted: counted, they clear the field memo
     of the skew ideal over Q at d=9 (16,084 entries, 298 terms), which
-    took its check from 0.29 to 0.47 s.  The budget is from a sweep of
+    takes perfbench ``verify-qq`` from 0.085 to 0.11 s (2-vCPU Xeon, two
+    6 s runs each).  The budget is from a sweep of
     perfbench ``verify-zz`` (skew over Z at d=9, 2-vCPU Xeon, two 6 s runs
     each; budget: wall s, peak RSS MB): 0: 0.71, 26.9; 4,000: 0.60, 27.0;
     8,000: 0.55, 26.9; 14,000: 0.52, 26.9; 17,000: 0.50, 27.0; 25,000:
@@ -1277,15 +1299,22 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     )
     forms = _WordForms(_ReducerSet(ring, order))
     sum_reduces_to_zero = forms.sum_reduces_to_zero
+    # per element: the lcm of its denominators and its terms times it
+    cleared = {}
+    for i in live:
+        den = math.lcm(*(c.denominator for _, c in basis[i].terms))
+        cleared[i] = den, [(w, _lean(c * den)) for w, c in basis[i].terms]
 
-    def summands(f: Polynomial, g: Polynomial) -> list:
-        """``[(kind, (x, f's terms), (y, g's terms))]``: S on the tails, then G."""
-        cf, cg = f.leading_coeff(), g.leading_coeff()
+    def summands(i: int, j: int) -> list:
+        """``[(kind, (x, f's cleared terms), (y, g's cleared terms))]``: S on
+        the tails, then G."""
+        cf, cg = basis[i].leading_coeff(), basis[j].leading_coeff()
         af, ag = s_cofactors(dom, cf, cg)
-        out = [("S", (af, f.terms[1:]), (dom.neg(ag), g.terms[1:]))]
+        (df, tf), (dg, tg) = cleared[i], cleared[j]
+        out = [("S", (_lean(af * dg), tf[1:]), (_lean(dom.neg(ag) * df), tg[1:]))]
         if not dom.is_field:
             bf, bg, _ = g_cofactors(dom, cf, cg)
-            out.append(("G", (bf, f.terms), (bg, g.terms)))
+            out.append(("G", (bf, tf), (bg, tg)))
         return out
 
     def check(pair: list, typ: str, i: int, j: int, t: Word, pf: int, pg: int, data) -> None:
@@ -1307,7 +1336,7 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
                     rels = [(lmf, 0, 0)] + rels
             else:
                 rels = []
-            pair = summands(f, g)
+            pair = summands(i, j)
             for pl in rels:
                 if len(pl[0]) <= d:
                     check(pair, "1", i, j, *pl, pl)
@@ -1316,7 +1345,7 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
     for i in live:
         for j in live:
             lmf, lmg = basis[i].leading_word(), basis[j].leading_word()
-            pair = summands(basis[i], basis[j])
+            pair = summands(i, j)
             for k in range(d - len(lmf) - len(lmg) + 1):
                 for letters in itertools.product(range(len(ring.alphabet)), repeat=k):
                     w = bytes(letters)

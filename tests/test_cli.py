@@ -539,7 +539,7 @@ def test_cli_bad_modulus_and_deep_nesting_exit_1(tmp_path, capsys, jobtext):
     assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
-def test_cli_equiv_file_is_parsed_under_the_bound(tmp_path, capsys):
+def test_cli_equiv_file_is_parsed_under_the_bound(tmp_path, capsys, monkeypatch):
     target = tmp_path / "target.txt"
     target.write_text("2*x, x^2000000000")
     t0 = time.monotonic()
@@ -547,6 +547,12 @@ def test_cli_equiv_file_is_parsed_under_the_bound(tmp_path, capsys):
     assert time.monotonic() - t0 < 1
     assert code == 1 and out == ""
     assert err == "error: line 1 col 8: bound too small for a power of length 2000000000\n"
+    # and before the completion: a malformed target costs no run
+    def no_run(*args, **kwargs):
+        raise AssertionError("the completion ran before --equiv was parsed")
+
+    monkeypatch.setattr("ncgb.cli.buchberger", no_run)
+    assert run_cli(tmp_path, capsys, INTRO, "--equiv", str(target)) == (code, out, err)
 
 
 def test_cli_missing_file_exits_1(tmp_path, monkeypatch, capsys):

@@ -804,6 +804,30 @@ def test_verifier_builds_no_pair_polynomial(domain, monkeypatch):
     assert [verify_strong_basis(r, b, d) for b in cases] == want
 
 
+@pytest.mark.parametrize("d", [6, 9])
+def test_field_verifier_multiplies_fractions_per_pair_not_per_placement(d, monkeypatch):
+    # over Q the verifier clears each basis element's denominators once and
+    # holds integral coefficients as int: on the skew basis, which has
+    # thousands of placements at d=9, the Fraction products stay within a
+    # few per ordered basis pair (two S-cofactors and their two scalings)
+    r = make_ring(QQ, "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+    basis = buchberger(r, polys(r, SKEW), d).basis
+    assert any(c.denominator != 1 for g in basis for _, c in g.terms)
+    calls = 0
+
+    def counted(mul):
+        def wrapper(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+    assert verify_strong_basis(r, basis, d) == []
+    assert calls <= 10 * len(basis) ** 2, calls
+
+
 def test_verifier_skips_zero_elements():
     # a zero element has zero S- and G-polynomials: placed anywhere in a
     # basis it leaves the failures unchanged, up to the shifted indices
