@@ -463,10 +463,12 @@ class _PairMeta:
     :func:`g_cofactors`, the ``lcm`` ``a_f*LC(f)`` and the ``gcd`` of the
     leading coefficients they give, ``last``, the ``(level, w)`` of its last
     dequeued second-type S-pair or None (see :meth:`_Engine._premise_ok`),
-    and ``kept``, the product criterion's exceptions per length."""
+    ``kept``, the product criterion's exceptions per length, and ``cuts``,
+    the chain cut patterns of :meth:`cut_sets` per kind with the insertion
+    count they were built at."""
 
     __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "base", "g_needed",
-                 "cofactors", "lcm", "gcd", "last", "kept")
+                 "cofactors", "lcm", "gcd", "last", "kept", "cuts")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
@@ -490,6 +492,7 @@ class _PairMeta:
         self.lcm = af * cf
         self.last: tuple[int, Word] | None = None
         self.kept: dict[int, list[Word]] = {}
+        self.cuts: dict[str, tuple[int, tuple]] = {}
 
     def place(self, w: Word) -> tuple[Word, int, int]:
         """The second-type placement at ``w``: ``(LM(f)·w·LM(g), 0, |LM(f)·w|)``."""
@@ -499,6 +502,33 @@ class _PairMeta:
         """What the chain criterion's third leading coefficient divides:
         the gcd for G-kinds, the lcm for S-kinds."""
         return self.gcd if kind in (G1, G2) else self.lcm
+
+    def cut_sets(self, kind: str, stamp: int, active: dict) -> tuple[set, set, set]:
+        """The patterns of :func:`_avoiding` for ``kind``, from the leading
+        words of ``active``, built once per ``stamp``, the insertion count
+        (the active set changes only at an insertion): the nonempty
+        leading words of the active ``c`` whose leading coefficient
+        divides ``need(kind)``; the rests ``LM(c)[q:]`` of those whose
+        first ``q`` letters end ``LM(f)``; and the heads ``LM(c)[:-q]`` of
+        those whose last ``q`` letters start ``LM(g)``, for ``0 < q``
+        below both lengths (see :meth:`_Engine._walk`)."""
+        got = self.cuts.get(kind)
+        if got is None or got[0] != stamp:
+            need, lmf, lmg = self.need(kind), self.lmf, self.lmg
+            la, lb = len(lmf), len(lmg)
+            inner, start, end = set(), set(), set()
+            for lm, lk, _, terms, _ in active.values():
+                if not lk or need % terms[0][1]:
+                    continue
+                inner.add(lm)
+                for q in range(1, min(la, lk)):
+                    if lmf.endswith(lm[:q]):
+                        start.add(lm[q:])
+                for q in range(1, min(lb, lk)):
+                    if lmg.startswith(lm[-q:]):
+                        end.add(lm[:-q])
+            got = self.cuts[kind] = (stamp, (inner, start, end))
+        return got[1]
 
     def exceptions(self, k: int) -> list[Word]:
         """The connecting words of length ``k`` where the product
@@ -546,24 +576,32 @@ def _rank(w: Word, n: int) -> int:
     return r
 
 
-def _avoiding(r: int, r_end: int, k: int, n: int, cuts: list[Word], lo: int, hi: int):
+def _avoiding(r: int, r_end: int, k: int, n: int, cuts: tuple, lo: int, hi: int):
     """Yield ``(cut_from, x, w)`` for each word ``w``, of rank ``x`` in
-    ``r .. r_end-1`` (length ``k``, bytes order), in which no pattern of
-    ``cuts`` occurs inside ``w[lo:hi]``, the words of ranks ``cut_from ..
+    ``r .. r_end-1`` (length ``k``, bytes order), that holds no
+    occurrence of ``cuts = (inner, start, end)``: a pattern of ``inner``
+    inside ``w[lo:hi]``, of ``start`` at ``w[:e]`` with ``e <= hi``, or of
+    ``end`` at ``w[s:]`` with ``s >= lo``; the words of ranks ``cut_from ..
     x-1`` having been skipped; end with ``(cut_from, r_end, None)``.  A
     word whose first occurrence ends at ``e`` is skipped with its subtree,
     the words with prefix ``w[:e]``.  Each word is the last plus one with
     carry, and only its slices ending past the changed position are looked
     up (see :meth:`_Engine._walk`)."""
-    pats = set(cuts)
-    lens = sorted({len(q) for q in cuts})
-    wins = [(e - m, e) for e in range(lo + 1, hi + 1) for m in lens if m <= e - lo]
-    # the slices (start, end) that can hold a pattern, and those ending past p at p + 1
+    inner, start, end = cuts
+    lens, firsts, lasts = ({len(q) for q in pats} for pats in cuts)
+    # the slices (start, end, patterns) that can hold an occurrence, by end
+    wins = []
+    for e in range(1, hi + 1):
+        if e in firsts:
+            wins.append((0, e, start))
+        wins += [(e - m, e, inner) for m in lens if m <= e - lo]
+    wins += [(k - m, k, end) for m in lasts if m <= k - lo]
+    # those ending past p, at p + 1
     tails = [[x for x in wins if x[1] > q] for q in range(-1, k)]
     w, p, cut_from = bytearray(_word(r, k, n)), -1, r
     while r < r_end:
         wb = bytes(w)
-        for s, e in tails[p + 1]:
+        for s, e, pats in tails[p + 1]:
             if wb[s:e] in pats:
                 size = n ** (k - e)
                 r += size - r % size
@@ -907,27 +945,41 @@ class _Engine:
         *Lemma.*  Let ``t = LM(a)·w·LM(b)`` have length ``L``, and let
         the nonempty leading word of an active ``c`` whose leading
         coefficient divides the pair's ``need`` (the lcm for S2, the gcd
-        for G2) occur inside ``w`` and strictly inside ``t``: neither at
-        its start nor at its end.  Then :meth:`_chain_discard` discards
-        the pair.
+        for G2) occur in ``t`` at ``p``, ending before ``t``'s end and,
+        when it starts in ``w``, past ``t``'s start, in one of three ways:
+        *inside* ``w``; *straddling its start*, with ``0 < p < |LM(a)|``
+        and the end in ``w``; or *straddling its end*, from ``w`` into
+        ``LM(b)``.  Then :meth:`_chain_discard` discards the pair.
 
-        *Proof.*  The occurrence lies apart from both defining ones, so
-        its premises are the second-type S-pairs ``(a, c)`` and ``(c,
-        b)``; as it is strictly inside ``t``, each spans less than ``L``.
-        ``a``, ``b`` and ``c`` are active now, and an index is never
-        reused, so each premise's family has had both elements active
-        since its registration.  Its level, below ``L``, was materialised
-        at registration (up to ``level_done``) or by a level entry of
-        weight below ``L``; the heap pops by weight and holds nothing
-        lighter than ``L`` while a pair of weight ``L`` is dequeued (an
-        insertion ends the walk below).  So each premise was dequeued, and
-        sits at or under its family's cursor ``last``
+        *Proof.*  The occurrence lies apart from both defining ones, at
+        ``0`` and ``|LM(a)·w|``.  Each premise, ``a`` or ``b`` with ``c``,
+        spans less than ``L``: from ``0`` to the occurrence's end, or from
+        ``p > 0`` to ``L``.  It is a second-type S-pair when the two
+        occurrences are disjoint: ``(a, c)`` and ``(c, b)`` inside, ``(c,
+        b)`` at the start, ``(a, c)`` at the end.  ``a``, ``b`` and ``c``
+        are active now, and an index is never reused, so each premise's
+        family has had both elements active since its registration.  Its
+        level, below ``L``, was materialised at registration (up to
+        ``level_done``) or by a level entry of weight below ``L``; the heap
+        pops by weight and holds nothing lighter than ``L`` while a pair of
+        weight ``L`` is dequeued (an insertion ends the walk below).  So it
+        was dequeued, and sits at or under its family's cursor ``last``
         (:meth:`_premise_ok`), or was never queued because the product
         criterion dropped it; either way :meth:`_premise_ok` accepts it.
-        The first condition needs ``w``'s occurrence to start past ``t``'s
-        start when ``LM(a)`` is empty, and to end before ``t``'s end when
-        ``LM(b)`` is empty; otherwise a premise spans all of ``t`` and is
-        not yet handled.
+        The other premise of a straddling occurrence, ``(a, c)`` at the
+        start or ``(c, b)`` at the end, is the first-type S-pair of two
+        intersecting occurrences, an overlap of the two leading words of
+        weight below ``L``.  Its S1 entry was pushed when the later of the
+        two was registered, and by the same argument dequeued through
+        :meth:`_process` with both active, which put its key in
+        ``processed``.  A start straddle needs ``|LM(a)| >= 2``, an end
+        straddle ``|LM(b)| >= 2``.
+
+        The occurrences are patterns of ``w`` (:meth:`_PairMeta.cut_sets`):
+        ``LM(c)`` inside ``w[lo:hi]``; a rest ``LM(c)[q:]`` starting ``w``,
+        where ``q = |LM(a)| - p``; a head ``LM(c)[:-q]`` ending ``w``, ``q``
+        letters of ``LM(c)`` lying in ``LM(b)``.  They depend on the active
+        leading words only, not on ``processed`` or a cursor.
 
         So when the shortest prefix ``w[:e]`` that ends such an occurrence
         exists, every word with that prefix is discarded: :func:`_avoiding`
@@ -955,13 +1007,12 @@ class _Engine:
             self.queued -= r_end - r
             return
         meta = self._meta(a, b)
-        k, n, need = lvl - meta.base, self.nletters, meta.need(kind)
-        cuts = [
-            lm for lm, lk, _, terms, _ in self.active.values() if lk and need % terms[0][1] == 0
-        ]
+        k, n = lvl - meta.base, self.nletters
+        inserted = self.stats.basis_insertions
+        # no pattern fits in the empty word
+        cuts = meta.cut_sets(kind, inserted, self.active) if k else ((), (), ())
         lo = 0 if meta.lmf else 1
         hi = k if meta.lmg else k - 1
-        inserted = self.stats.basis_insertions
         for cut_from, x, w in _avoiding(r, r_end, k, n, cuts, lo, hi):
             if cut_from < x:
                 self._cut(lvl, kind, a, b, cut_from, x)

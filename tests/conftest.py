@@ -323,15 +323,23 @@ def product_criterion_holds(meta, w):
 
 def first_cut_end(w, cuts, lo, hi):
     """The end of the shortest prefix of ``w`` that ends an occurrence of
-    a pattern of ``cuts`` starting at or past ``lo`` and ending at or
-    before ``hi``, or None: the leftmost occurrence of each pattern, found
-    with ``bytes.find``, ends first.  Kept as an oracle for the
-    incremental check of :func:`ncgb.engine._avoiding`."""
+    ``cuts = (inner, start, end)``, or None: a pattern of ``inner`` starting
+    at or past ``lo`` and ending at or before ``hi`` (the leftmost
+    occurrence of each, found with ``bytes.find``, ends first), a pattern
+    of ``start`` that ``w[:hi]`` starts with, or one of ``end`` that
+    ``w[lo:]`` ends with.  Kept as an oracle for the incremental check of
+    :func:`ncgb.engine._avoiding`."""
+    inner, start, end = cuts
     e = len(w) + 1
-    for p in cuts:
+    for p in inner:
         pos = w.find(p, lo, hi)
         if pos >= 0 and pos + len(p) < e:
             e = pos + len(p)
+    for p in start:
+        if w[:hi].startswith(p) and len(p) < e:
+            e = len(p)
+    if any(w[lo:].endswith(p) for p in end):
+        e = min(e, len(w))
     return e if e <= len(w) else None
 
 

@@ -302,7 +302,10 @@ def _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen):
     """The decisions of a range rebuilt word by word from its rank and
     checked with :func:`first_cut_end`: ``("keep", x, w)`` per survivor
     and ``("cut", from, to)`` per run of cut subtrees.  ``seen`` counts
-    the subtrees entered mid-way and those cut short by ``r_end``."""
+    the subtrees entered mid-way and those cut short by ``r_end``, the
+    cuts of more than one word that a start pattern decides, and the
+    one-word cuts that only an end pattern decides."""
+    inner, start, end = cuts
     out = []
     while r < r_end:
         w = engine._word(r, k, n)
@@ -315,6 +318,8 @@ def _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen):
         stop = min(r - r % size + size, r_end)
         seen["mid"] += r % size != 0
         seen["short"] += stop < r - r % size + size
+        seen["start"] += size > 1 and first_cut_end(w, ((), start, ()), lo, hi) == e
+        seen["end"] += first_cut_end(w, (inner, start, ()), lo, hi) is None
         if out and out[-1][0] == "cut":
             out[-1] = ("cut", out[-1][1], stop)
         else:
@@ -334,12 +339,13 @@ def _walk_decisions(walk):
 
 
 def test_connecting_word_walk_decides_as_find_per_word():
-    # engine._avoiding against a bytes.find per pattern and word, on random
-    # pattern sets, alphabets of one to three letters, k = 0..6, both
-    # bounds of the occurrence window, and ranges resumed after a simulated
-    # insertion with one more pattern
+    # engine._avoiding against a bytes.find, startswith and endswith per
+    # pattern and word, on random inner, start and end pattern sets,
+    # alphabets of one to three letters, k = 0..6, both bounds of the
+    # occurrence window, and ranges resumed after a simulated insertion
+    # with one more pattern of each kind
     rng = random.Random(20261019)
-    seen = dict.fromkeys(["mid", "short", "n1", "k0", "lo1", "hi", "resumed"], 0)
+    seen = dict.fromkeys(["mid", "short", "n1", "k0", "lo1", "hi", "resumed", "start", "end"], 0)
     for _ in range(3000):
         n, k = rng.randint(1, 3), rng.randint(0, 6)
         lo, hi = rng.choice([(0, k), (1, k), (0, k - 1), (1, k - 1)])
@@ -347,20 +353,23 @@ def test_connecting_word_walk_decides_as_find_per_word():
         def pattern():
             return bytes(rng.randrange(n) for _ in range(rng.randint(1, 3)))
 
-        cuts = list({pattern() for _ in range(rng.randint(0, 4))})
+        def patterns(most):
+            return {pattern() for _ in range(rng.randint(0, most))}
+
+        cuts = (patterns(4), patterns(2), patterns(2))
         r = rng.randrange(n**k)
         r_end = rng.randint(r + 1, n**k)
         got = _walk_decisions(engine._avoiding(r, r_end, k, n, cuts, lo, hi))
         assert got == _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen), (n, k, cuts, lo, hi, r)
-        seen["n1"] += n == 1 and bool(cuts)
+        seen["n1"] += n == 1 and any(cuts)
         seen["k0"] += k == 0
         seen["lo1"] += lo == 1 and any(d[0] == "cut" for d in got)
         seen["hi"] += hi == k - 1 and any(d[0] == "cut" for d in got)
         keeps = [d[1] for d in got if d[0] == "keep"]
         if keeps and keeps[0] + 1 < r_end:
             # an insertion after the first survivor: the rest of the range
-            # is walked again, with one more pattern
-            x, more = keeps[0], cuts + [pattern()]
+            # is walked again, with one more pattern of each kind
+            x, more = keeps[0], tuple(pats | {pattern()} for pats in cuts)
             mid = seen["mid"]
             rest = _walk_decisions(engine._avoiding(x + 1, r_end, k, n, more, lo, hi))
             assert rest == _walk_by_find(x + 1, r_end, k, n, more, lo, hi, seen)
@@ -953,10 +962,14 @@ _TORSION = "y*x - 3*x*y - z, z*x - x*z + y, z*y - y*z - x"
          (921764, 253818, 207709, 459903, 269, 17, 138621)),
         (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 11;\nideal {_TORSION};",
          (455648, 51386, 176208, 227824, 205, 12, 117612)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 17;\nideal {_SKEW};",
+         (74649764, 20561058, 16842069, 37246143, 429, 17, 11228301)),
+        (f"ring Z <x,y,z> degrevlexR(x>y>z) bound 15;\nideal {_TORSION};",
+         (36905648, 4162946, 14289376, 18452824, 477, 12, 9526572)),
     ],
     ids=[
         "readme", "skew-Z-d9", "torsion-Z-d8", "torsion-Zmod6-d7",
-        "constants-Z-d4", "skew-Z-d13", "torsion-Z-d11",
+        "constants-Z-d4", "skew-Z-d13", "torsion-Z-d11", "skew-Z-d17", "torsion-Z-d15",
     ],
 )
 def test_stats_counters_are_pinned(job, stats):
@@ -970,3 +983,36 @@ def test_stats_counters_are_pinned(job, stats):
         "pairs_discarded_coeff", "reductions_to_zero", "basis_insertions", "peak_queue_size",
     ]
     assert list(res.stats.as_dict().items()) == list(zip(keys, stats))
+
+
+class _SecondTypeCounting(_Engine):
+    """The engine, counting the second-type words it dequeues one by one
+    through ``_process`` (those no bulk chain cut of ``_walk`` counts)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.second_type = 0
+
+    def _process(self, kind, i, j, data):
+        self.second_type += kind in (engine.S2, engine.G2)
+        super()._process(kind, i, j, data)
+
+
+@pytest.mark.parametrize("ideal, d, most", [(_SKEW, 11, 400), (_TORSION, 9, 200)],
+                         ids=["skew-Z-d11", "torsion-Z-d9"])
+def test_straddling_occurrences_are_cut_in_bulk(ideal, d, most):
+    # occurrences that straddle LM(a)·w or w·LM(b) are cut by _walk's
+    # lemma, so few second-type words reach _process one by one (3,039 on
+    # skew at d=11 and 673 on torsion at d=9 when only occurrences inside
+    # w were cut); the test-mode audit checks every cut word with
+    # _chain_discard and the run is the plain one
+    job = parse_job(f"ring Z <x,y,z> degrevlexR(x>y>z) bound {d};\nideal {ideal};")
+    counting = _SecondTypeCounting(job.ring, d, True, True, False)
+    plain = counting.run(job.generators)
+    assert counting.second_type <= most
+    audited = buchberger(job.ring, job.generators, d, test_mode=True)
+    assert audited.stats == plain.stats
+    assert [g.terms for g in audited.basis] == [g.terms for g in plain.basis]
+    assert audited.insertion_log == plain.insertion_log
+    chain = [e for e in audited.discard_log if e[0].startswith("chain-")]
+    assert len(chain) == plain.stats.pairs_discarded_chain
