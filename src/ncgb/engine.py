@@ -463,12 +463,10 @@ class _PairMeta:
     :func:`g_cofactors`, the ``lcm`` ``a_f*LC(f)`` and the ``gcd`` of the
     leading coefficients they give, ``last``, the ``(level, w)`` of its last
     dequeued second-type S-pair or None (see :meth:`_Engine._premise_ok`),
-    ``kept``, the product criterion's exceptions per length, and ``cuts``,
-    the chain cut patterns of :meth:`cut_sets` per kind with the insertion
-    count they were built at."""
+    and ``kept``, the product criterion's exceptions per length."""
 
     __slots__ = ("coprime_no_overlap", "constraints", "lmf", "lmg", "base", "g_needed",
-                 "cofactors", "lcm", "gcd", "last", "kept", "cuts")
+                 "cofactors", "lcm", "gcd", "last", "kept")
 
     def __init__(self, f: Polynomial, g: Polynomial):
         dom = f.ring.domain
@@ -492,7 +490,6 @@ class _PairMeta:
         self.lcm = af * cf
         self.last: tuple[int, Word] | None = None
         self.kept: dict[int, list[Word]] = {}
-        self.cuts: dict[str, tuple[int, tuple]] = {}
 
     def place(self, w: Word) -> tuple[Word, int, int]:
         """The second-type placement at ``w``: ``(LM(f)·w·LM(g), 0, |LM(f)·w|)``."""
@@ -502,33 +499,6 @@ class _PairMeta:
         """What the chain criterion's third leading coefficient divides:
         the gcd for G-kinds, the lcm for S-kinds."""
         return self.gcd if kind in (G1, G2) else self.lcm
-
-    def cut_sets(self, kind: str, stamp: int, active: dict) -> tuple[set, set, set]:
-        """The patterns of :func:`_avoiding` for ``kind``, from the leading
-        words of ``active``, built once per ``stamp``, the insertion count
-        (the active set changes only at an insertion): the nonempty
-        leading words of the active ``c`` whose leading coefficient
-        divides ``need(kind)``; the rests ``LM(c)[q:]`` of those whose
-        first ``q`` letters end ``LM(f)``; and the heads ``LM(c)[:-q]`` of
-        those whose last ``q`` letters start ``LM(g)``, for ``0 < q``
-        below both lengths (see :meth:`_Engine._walk`)."""
-        got = self.cuts.get(kind)
-        if got is None or got[0] != stamp:
-            need, lmf, lmg = self.need(kind), self.lmf, self.lmg
-            la, lb = len(lmf), len(lmg)
-            inner, start, end = set(), set(), set()
-            for lm, lk, _, terms, _ in active.values():
-                if not lk or need % terms[0][1]:
-                    continue
-                inner.add(lm)
-                for q in range(1, min(la, lk)):
-                    if lmf.endswith(lm[:q]):
-                        start.add(lm[q:])
-                for q in range(1, min(lb, lk)):
-                    if lmg.startswith(lm[-q:]):
-                        end.add(lm[:-q])
-            got = self.cuts[kind] = (stamp, (inner, start, end))
-        return got[1]
 
     def exceptions(self, k: int) -> list[Word]:
         """The connecting words of length ``k`` where the product
@@ -576,47 +546,49 @@ def _rank(w: Word, n: int) -> int:
     return r
 
 
-def _avoiding(r: int, r_end: int, k: int, n: int, cuts: tuple, lo: int, hi: int):
+def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Word):
     """Yield ``(cut_from, x, w)`` for each word ``w``, of rank ``x`` in
-    ``r .. r_end-1`` (length ``k``, bytes order), that holds no
-    occurrence of ``cuts = (inner, start, end)``: a pattern of ``inner``
-    inside ``w[lo:hi]``, of ``start`` at ``w[:e]`` with ``e <= hi``, or of
-    ``end`` at ``w[s:]`` with ``s >= lo``; the words of ranks ``cut_from ..
-    x-1`` having been skipped; end with ``(cut_from, r_end, None)``.  A
-    word whose first occurrence ends at ``e`` is skipped with its subtree,
-    the words with prefix ``w[:e]``.  Each word is the last plus one with
-    carry, and only its slices ending past the changed position are looked
-    up (see :meth:`_Engine._walk`)."""
-    inner, start, end = cuts
-    lens, firsts, lasts = ({len(q) for q in pats} for pats in cuts)
-    # the slices (start, end, patterns) that can hold an occurrence, by end
-    wins = []
-    for e in range(1, hi + 1):
-        if e in firsts:
-            wins.append((0, e, start))
-        wins += [(e - m, e, inner) for m in lens if m <= e - lo]
-    wins += [(k - m, k, end) for m in lasts if m <= k - lo]
-    # those ending past p, at p + 1
-    tails = [[x for x in wins if x[1] > q] for q in range(-1, k)]
-    w, p, cut_from = bytearray(_word(r, k, n)), -1, r
+    ``r .. r_end-1`` (length ``k``, bytes order), such that no window of
+    ``t = lmf·w·lmg`` holds a pattern of ``pats``, the words of ranks
+    ``cut_from .. x-1`` having been skipped; end with ``(cut_from, r_end,
+    None)``.  A window is a slice ``t[s:e]`` with ``0 < s``, ``e < |t|``,
+    ``e > |lmf|`` and ``s < |lmf·w|``, and not both ``s < |lmf|`` and ``e >
+    |lmf·w|``.  A word whose first match ends at ``e`` is skipped with its
+    subtree, the words with prefix ``w[:min(e - |lmf|, k)]``.  Each word is
+    the last plus one with carry, and only the windows ending past the
+    changed position are looked up (see :meth:`_Engine._walk`)."""
+    la, lw = len(lmf), len(lmf) + k
+    lens = {len(pat) for pat in pats}
+    # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
+    wins = [
+        (e - m, e, min(e - la, k))
+        for e in range(la + 1, lw + len(lmg))
+        for m in lens
+        if 0 < e - m < lw and (e - m >= la or e <= lw)
+    ]
+    # those ending past p in w, at p + 1
+    tails = [[x for x in wins if x[2] > p] for p in range(-1, k)]
+    t, p, cut_from = bytearray(lmf + _word(r, k, n) + lmg), -1, r
     while r < r_end:
-        wb = bytes(w)
-        for s, e, pats in tails[p + 1]:
-            if wb[s:e] in pats:
-                size = n ** (k - e)
+        tb = bytes(t)
+        for s, e, q in tails[p + 1]:
+            if tb[s:e] in pats:
+                size = n ** (k - q)
                 r += size - r % size
-                p = e - 1
+                p = q - 1
                 break
         else:
-            yield cut_from, r, wb
+            yield cut_from, r, tb[la:lw]
             r += 1
             cut_from, p = r, k - 1
         if r < r_end:
-            w[p + 1:] = bytes(k - 1 - p)
-            while w[p] == n - 1:
-                w[p] = 0
-                p -= 1
-            w[p] += 1
+            i = la + p
+            t[i + 1:lw] = bytes(lw - 1 - i)
+            while t[i] == n - 1:
+                t[i] = 0
+                i -= 1
+            t[i] += 1
+            p = i - la
     yield cut_from, r_end, None
 
 
@@ -664,6 +636,8 @@ class _Engine:
         self.level_done = 0
         self.processed: set[tuple] = set()
         self.meta: dict[tuple[int, int], _PairMeta] = {}
+        # need -> the chain criterion's third elements (see _thirds)
+        self.thirds: dict[object, tuple[list, set]] = {}
         self.unit = False
 
         self.stats = Stats()
@@ -810,18 +784,33 @@ class _Engine:
             return True
         return self._product_ok(first, second, gap)
 
+    def _thirds(self, need) -> tuple[list, set]:
+        """The chain criterion's third elements for a pair's ``need``
+        (:meth:`_PairMeta.need`, None over a field): ``[(k, LM(c),
+        |LM(c)|)]`` for each active ``c`` with a nonempty leading word and
+        ``LC(c)`` dividing ``need``, in active order, and the set of those
+        words; kept per ``need`` until :meth:`_insert` changes the active
+        set."""
+        got = self.thirds.get(need)
+        if got is None:
+            rows = [
+                (k, lm, lk)
+                for k, (lm, lk, _, terms, _) in self.active.items()
+                if lk and (need is None or need % terms[0][1] == 0)
+            ]
+            got = self.thirds[need] = (rows, {lm for _, lm, _ in rows})
+        return got
+
     def _chain_discard(self, kind: str, i: int, j: int, t: Word, pi: int, pj: int) -> bool:
-        """Gebauer-Moeller-style discard: some third active element
-        occurs in ``t`` at a position distinct from the two defining
-        occurrences, its leading coefficient divides the pair's lcm
-        (S-kinds) or gcd (G-kinds), and both premise sub-pairs were
-        already handled, so the pair's S/G-polynomial telescopes into
-        combinations that are known to have strong representations."""
+        """Gebauer-Moeller-style discard: the leading word of a third
+        element (:meth:`_thirds`, for the pair's lcm on S-kinds and gcd on
+        G-kinds) occurs in ``t`` at a position distinct from the two
+        defining occurrences, and both premise sub-pairs were already
+        handled, so the pair's S/G-polynomial telescopes into combinations
+        that are known to have strong representations."""
         need = None if self.field_mode else self._meta(i, j).need(kind)
         li, lj = self.active[i][1], self.active[j][1]
-        for k, (lmf, lf, _, terms, _) in self.active.items():
-            if not lf or (need is not None and need % terms[0][1] != 0):
-                continue
+        for k, lmf, lf in self._thirds(need)[0]:
             pos = t.find(lmf)
             while pos >= 0:
                 if not ((k == i and pos == pi) or (k == j and pos == pj)):
@@ -849,6 +838,8 @@ class _Engine:
         ring = self.ring
         dom = ring.domain
         h = ring.normalize_leading(h)
+        # the active set changes only here, and nothing below reads _thirds
+        self.thirds.clear()
 
         while True:
             lm = h.leading_word()
@@ -942,61 +933,64 @@ class _Engine:
         words of ranks ``r .. r_end-1`` (length ``k``, bytes order), whose
         entry has sequence number ``seq``.
 
-        *Lemma.*  Let ``t = LM(a)·w·LM(b)`` have length ``L``, and let
-        the nonempty leading word of an active ``c`` whose leading
-        coefficient divides the pair's ``need`` (the lcm for S2, the gcd
-        for G2) occur in ``t`` at ``p``, ending before ``t``'s end and,
-        when it starts in ``w``, past ``t``'s start, in one of three ways:
-        *inside* ``w``; *straddling its start*, with ``0 < p < |LM(a)|``
-        and the end in ``w``; or *straddling its end*, from ``w`` into
-        ``LM(b)``.  Then :meth:`_chain_discard` discards the pair.
+        *Lemma.*  Let ``t = LM(a)·w·LM(b)`` have length ``L``, and let a
+        third element ``c`` for the pair's ``need`` (the lcm for S2, the gcd
+        for G2; :meth:`_thirds`) have ``LM(c) == t[s:e]`` with ``0 < s``, ``e
+        < L``, ``e > |LM(a)|`` and ``s < |LM(a)·w|``.  Then
+        :meth:`_chain_discard` discards the pair.
 
-        *Proof.*  The occurrence lies apart from both defining ones, at
-        ``0`` and ``|LM(a)·w|``.  Each premise, ``a`` or ``b`` with ``c``,
-        spans less than ``L``: from ``0`` to the occurrence's end, or from
-        ``p > 0`` to ``L``.  It is a second-type S-pair when the two
-        occurrences are disjoint: ``(a, c)`` and ``(c, b)`` inside, ``(c,
-        b)`` at the start, ``(a, c)`` at the end.  ``a``, ``b`` and ``c``
-        are active now, and an index is never reused, so each premise's
-        family has had both elements active since its registration.  Its
-        level, below ``L``, was materialised at registration (up to
-        ``level_done``) or by a level entry of weight below ``L``; the heap
-        pops by weight and holds nothing lighter than ``L`` while a pair of
-        weight ``L`` is dequeued (an insertion ends the walk below).  So it
-        was dequeued, and sits at or under its family's cursor ``last``
-        (:meth:`_premise_ok`), or was never queued because the product
-        criterion dropped it; either way :meth:`_premise_ok` accepts it.
-        The other premise of a straddling occurrence, ``(a, c)`` at the
-        start or ``(c, b)`` at the end, is the first-type S-pair of two
-        intersecting occurrences, an overlap of the two leading words of
-        weight below ``L``.  Its S1 entry was pushed when the later of the
-        two was registered, and by the same argument dequeued through
+        *Proof.*  The occurrence is neither defining one, at ``0`` and
+        ``|LM(a)·w|``.  Each premise, ``a`` or ``b`` with ``c``, spans less
+        than ``L``: from ``0`` to ``e``, or from ``s`` to ``L``.  It is a
+        second-type S-pair when the two occurrences are disjoint: ``(a, c)``
+        when ``s >= |LM(a)|``, ``(c, b)`` when ``e <= |LM(a)·w|``.  ``a``,
+        ``b`` and ``c`` are active now, and an index is never reused, so
+        each premise's family has had both elements active since its
+        registration.  Its level, below ``L``, was materialised at
+        registration (up to ``level_done``) or by a level entry of weight
+        below ``L``; the heap pops by weight and holds nothing lighter than
+        ``L`` while a pair of weight ``L`` is dequeued (an insertion ends the
+        walk below).  So it was dequeued, and sits at or under its family's
+        cursor ``last`` (:meth:`_premise_ok`), or was never queued because
+        the product criterion dropped it; either way :meth:`_premise_ok`
+        accepts it.  When the two occurrences intersect, ``(a, c)`` when ``s
+        < |LM(a)|`` or ``(c, b)`` when ``e > |LM(a)·w|``, the premise is the
+        first-type S-pair of an overlap of the two leading words, of weight
+        below ``L``.  Its S1 entry was pushed when the later of the two was
+        registered, and by the same argument dequeued through
         :meth:`_process` with both active, which put its key in
-        ``processed``.  A start straddle needs ``|LM(a)| >= 2``, an end
-        straddle ``|LM(b)| >= 2``.
+        ``processed``.
 
-        The occurrences are patterns of ``w`` (:meth:`_PairMeta.cut_sets`):
-        ``LM(c)`` inside ``w[lo:hi]``; a rest ``LM(c)[q:]`` starting ``w``,
-        where ``q = |LM(a)| - p``; a head ``LM(c)[:-q]`` ending ``w``, ``q``
-        letters of ``LM(c)`` lying in ``LM(b)``.  They depend on the active
-        leading words only, not on ``processed`` or a cursor.
+        The walk cuts the windows ``t[s:e]`` of :func:`_avoiding`: those of
+        the lemma but the double straddles, ``s < |LM(a)|`` and ``e >
+        |LM(a)·w|``, where ``LM(c)`` holds ``w`` and a letter on each side.
+        The proof holds for these too, both premises being first-type, but
+        :meth:`_process` discards their words one by one, and cutting them
+        would change the sequence of :meth:`_process` and :meth:`_cut`
+        calls; lifting the exclusion is a change of its own.  A window with
+        ``e <= |LM(a)·w|`` lies in ``LM(a)·w[:e - |LM(a)|]``, so it discards
+        every word with that prefix; any other reads all of ``w``.  The
+        windows depend only on the leading words of the active set, which
+        the walk reads once (:meth:`_thirds`) and which changes only at an
+        insertion.
 
-        So when the shortest prefix ``w[:e]`` that ends such an occurrence
-        exists, every word with that prefix is discarded: :func:`_avoiding`
-        skips that subtree of ``n**(k-e)`` words (from the cursor, up to
-        ``r_end``) and steps to the next word by adding one with carry at
-        ``e - 1``, or at ``k - 1`` after a survivor.  The prefix before the
-        last position the carry changed needs no new check: the old word
-        had no occurrence ending in it, since ``e`` was its first end.  So
-        only the ends past that position are looked up, in order, and the
-        first that closes an occurrence is the new word's ``e``.  Every
-        survivor goes through :meth:`_process`, and the run of subtrees
-        skipped before it through one :meth:`_cut`, called just before (the
-        last run as the walk ends).  Between two survivors only the test
-        mode's audit reads ``queued``, ``peak_queue_size`` (raised only by a
-        push) or a cursor ``last``, and it reads premises on lower levels,
-        already at or under their cursors; so all three are as after one
-        cut per subtree.  An insertion can queue lighter pairs and retire
+        So when the first window, by end, that holds a third leading word
+        exists, with ``q = min(e - |LM(a)|, k)``, every word with prefix
+        ``w[:q]`` is discarded: :func:`_avoiding` skips that subtree of
+        ``n**(k-q)`` words (from the cursor, up to ``r_end``) and steps to
+        the next word by adding one with carry at ``q - 1``, or at ``k - 1``
+        after a survivor.  A window whose ``q`` is at most the last position
+        the carry changed needs no new check: it lies before that position,
+        and it held nothing in the old word, ending before the old word's
+        first match.  So only the windows with ``q`` past that position are
+        looked up, in end order, and the first that matches is the new
+        word's.  Every survivor goes through :meth:`_process`, and the run
+        of subtrees skipped before it through one :meth:`_cut`, called just
+        before (the last run as the walk ends).  Between two survivors only
+        the test mode's audit reads ``queued``, ``peak_queue_size`` (raised
+        only by a push) or a cursor ``last``, and it reads premises on lower
+        levels, already at or under their cursors; so all three are as after
+        one cut per subtree.  An insertion can queue lighter pairs and retire
         elements, so after one the rest of the range is pushed back under
         the range's own number, which no other entry holds: it sorts
         against every other entry as its words' own entries would, and
@@ -1009,11 +1003,8 @@ class _Engine:
         meta = self._meta(a, b)
         k, n = lvl - meta.base, self.nletters
         inserted = self.stats.basis_insertions
-        # no pattern fits in the empty word
-        cuts = meta.cut_sets(kind, inserted, self.active) if k else ((), (), ())
-        lo = 0 if meta.lmf else 1
-        hi = k if meta.lmg else k - 1
-        for cut_from, x, w in _avoiding(r, r_end, k, n, cuts, lo, hi):
+        pats = self._thirds(meta.need(kind))[1]
+        for cut_from, x, w in _avoiding(r, r_end, k, n, pats, meta.lmf, meta.lmg):
             if cut_from < x:
                 self._cut(lvl, kind, a, b, cut_from, x)
             if w is None:

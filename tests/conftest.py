@@ -321,26 +321,33 @@ def product_criterion_holds(meta, w):
     )
 
 
-def first_cut_end(w, cuts, lo, hi):
-    """The end of the shortest prefix of ``w`` that ends an occurrence of
-    ``cuts = (inner, start, end)``, or None: a pattern of ``inner`` starting
-    at or past ``lo`` and ending at or before ``hi`` (the leftmost
-    occurrence of each, found with ``bytes.find``, ends first), a pattern
-    of ``start`` that ``w[:hi]`` starts with, or one of ``end`` that
-    ``w[lo:]`` ends with.  Kept as an oracle for the incremental check of
-    :func:`ncgb.engine._avoiding`."""
-    inner, start, end = cuts
-    e = len(w) + 1
-    for p in inner:
-        pos = w.find(p, lo, hi)
-        if pos >= 0 and pos + len(p) < e:
-            e = pos + len(p)
-    for p in start:
-        if w[:hi].startswith(p) and len(p) < e:
-            e = len(p)
-    if any(w[lo:].endswith(p) for p in end):
-        e = min(e, len(w))
-    return e if e <= len(w) else None
+def occurrences(t, pats):
+    """Every ``(s, e)`` with ``t[s:e]`` a pattern of ``pats``, found with
+    ``bytes.find``."""
+    out = []
+    for p in pats:
+        s = t.find(p)
+        while s >= 0:
+            out.append((s, s + len(p)))
+            s = t.find(p, s + 1)
+    return out
+
+
+def is_window(s, e, lmf, w, lmg):
+    """Is ``t[s:e]`` of ``t = lmf·w·lmg`` a window of the walk: ``0 < s``,
+    ``e < |t|``, ``e > |lmf|``, ``s < |lmf·w|``, and not both ``s < |lmf|``
+    and ``e > |lmf·w|``?"""
+    la, lw = len(lmf), len(lmf) + len(w)
+    return 0 < s and e < lw + len(lmg) and e > la and s < lw and not (s < la and e > lw)
+
+
+def first_cut_end(w, pats, lmf, lmg):
+    """The end ``min(e - |lmf|, |w|)`` in ``w`` of the prefix that the
+    first window ``t[s:e]`` of ``t = lmf·w·lmg`` by end (:func:`is_window`)
+    holding a pattern of ``pats`` cuts, or None.  Kept as an oracle for
+    the incremental check of :func:`ncgb.engine._avoiding`."""
+    ends = [e for s, e in occurrences(lmf + w + lmg, pats) if is_window(s, e, lmf, w, lmg)]
+    return min(min(ends) - len(lmf), len(w)) if ends else None
 
 
 class EagerEngine(_Engine):
@@ -506,3 +513,31 @@ class FreshReducersEngine(_Engine):
     def _retire(self, k):
         self.live[k] = None
         super()._retire(k)
+
+
+class FreshThirdsEngine(_Engine):
+    """The engine, asserting at every lookup of the chain criterion's
+    third elements that the cached list is a fresh filter of the active
+    set, in its order: ``(index, LM, |LM|)`` of each element with a
+    nonempty leading word whose leading coefficient divides ``need`` (any,
+    over a field), and that the cached set holds their leading words.
+    ``checks`` counts the lookups compared.  Kept as an oracle for the
+    cache of :meth:`ncgb.engine._Engine._thirds`, which ``_insert``
+    drops."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checks = 0
+
+    def _thirds(self, need):
+        rows, words = super()._thirds(need)
+        dom = self.ring.domain
+        fresh = []
+        for k, rec in self.active.items():
+            p = rec[4]
+            lm = p.leading_word()
+            if lm and (need is None or dom.divides(p.leading_coeff(), need)):
+                fresh.append((k, lm, len(lm)))
+        assert rows == fresh and words == {lm for _, lm, _ in fresh}, need
+        self.checks += 1
+        return rows, words

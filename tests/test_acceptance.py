@@ -39,6 +39,7 @@ from ncgb.overlap import spoly1, spoly2
 from conftest import (
     EagerEngine,
     FreshReducersEngine,
+    FreshThirdsEngine,
     InvariantEngine,
     SetKeyedEngine,
     discarded_pair_polys,
@@ -693,6 +694,53 @@ def test_live_reducers_equal_a_fresh_preparation():
             assert [g.terms for g in got.basis] == [g.terms for g in plain.basis], (domain, i)
             checks += n
     assert checks > on_examples
+    _elapsed_under(120, t0)
+
+
+def test_chain_third_elements_equal_a_fresh_filter():
+    """At every lookup the chain criterion's cached third elements are a
+    fresh, in-order filter of the active set (``FreshThirdsEngine``), on
+    the integer acceptance examples, on the skew, torsion and commutator
+    ideals over Q and Z/7 in two orderings, and on random ideals over Z, Q and Z/7 in two
+    orderings; the runs, in test mode, equal the plain engine's."""
+    t0 = time.monotonic()
+
+    def run(ring, gens, bound, tail):
+        checked = FreshThirdsEngine(ring, bound, True, tail, True)
+        got = checked.run(gens)
+        plain = buchberger(ring, gens, bound, tail_reduce=tail, test_mode=True)
+        assert got.stats == plain.stats
+        assert [g.terms for g in got.basis] == [g.terms for g in plain.basis]
+        assert got.discard_log == plain.discard_log
+        assert got.insertion_log == plain.insertion_log
+        return checked.checks
+
+    checks = 0
+    for label, build in EXAMPLES:
+        ring, gens, _, bound, _ = build()
+        if ring.domain == ZZ:
+            checks += run(ring, gens, bound, label not in _TAIL_OFF)
+    on_integers = checks
+    for domain, kind in itertools.product((QQ, residue_domain(7)), (DEG_LEFT_LEX, DEG_RIGHT_LEX)):
+        ring = make_ring(domain, "xyz", kind, ["x", "y", "z"])
+        for text in (SKEW_GENS, TORSION_GENS, COMMUTATOR_GENS):
+            checks += run(ring, polys(ring, text), 9, True)
+    on_fields = checks - on_integers
+
+    rng = random.Random(20261023)
+    for domain in (ZZ, QQ, residue_domain(7)):
+        for i in range(40):
+            nletters = rng.randint(1, 3)
+            names = "abc"[:nletters]
+            kind = DEG_LEFT_LEX if i % 2 == 0 else DEG_RIGHT_LEX
+            ring = make_ring(domain, names, kind, list(names))
+            gens = random_polys(
+                ring, rng, ngens=rng.randint(1, 3), maxterms=3, maxlen=3, maxcoeff=6
+            )
+            if gens:
+                checks += run(ring, gens, rng.randint(3, 6), i % 4 < 2)
+    assert on_integers > 10_000 and on_fields > 400, (on_integers, on_fields)
+    assert checks > on_integers + on_fields, checks
     _elapsed_under(120, t0)
 
 

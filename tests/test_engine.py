@@ -33,7 +33,9 @@ from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _ReducerSet, _WordForms, 
 from conftest import (
     first_cut_end,
     interreduce_preparing_every_call,
+    is_window,
     make_ring,
+    occurrences,
     poly,
     polys,
     product_criterion_holds,
@@ -298,28 +300,34 @@ def test_pair_meta_cofactors_follow_the_cofactor_rules():
     assert placed > 400
 
 
-def _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen):
+def _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen):
     """The decisions of a range rebuilt word by word from its rank and
     checked with :func:`first_cut_end`: ``("keep", x, w)`` per survivor
     and ``("cut", from, to)`` per run of cut subtrees.  ``seen`` counts
     the subtrees entered mid-way and those cut short by ``r_end``, the
-    cuts of more than one word that a start pattern decides, and the
-    one-word cuts that only an end pattern decides."""
-    inner, start, end = cuts
+    cuts of more than one word that a window straddling ``w``'s start
+    decides, the one-word cuts that only windows straddling its end
+    decide, and the survivors holding a pattern that straddles both ends
+    of ``w`` or starts or ends ``t``, which are no windows."""
+    la, lw, lt = len(lmf), len(lmf) + k, len(lmf) + k + len(lmg)
     out = []
     while r < r_end:
         w = engine._word(r, k, n)
-        e = first_cut_end(w, cuts, lo, hi)
-        if e is None:
+        x = first_cut_end(w, pats, lmf, lmg)
+        found = [(s, e) for s, e in occurrences(lmf + w + lmg, pats) if e > la and s < lw]
+        if x is None:
+            seen["double"] += any(0 < s < la and lw < e < lt for s, e in found)
+            seen["edge"] += any((s == 0 or e == lt) and not (s < la and e > lw) for s, e in found)
             out.append(("keep", r, w))
             r += 1
             continue
-        size = n ** (k - e)
+        size = n ** (k - x)
         stop = min(r - r % size + size, r_end)
         seen["mid"] += r % size != 0
         seen["short"] += stop < r - r % size + size
-        seen["start"] += size > 1 and first_cut_end(w, ((), start, ()), lo, hi) == e
-        seen["end"] += first_cut_end(w, (inner, start, ()), lo, hi) is None
+        wins = [(s, e) for s, e in found if is_window(s, e, lmf, w, lmg)]
+        seen["start"] += size > 1 and any(s < la for s, e in wins if min(e - la, k) == x)
+        seen["end"] += all(e > lw for _, e in wins)
         if out and out[-1][0] == "cut":
             out[-1] = ("cut", out[-1][1], stop)
         else:
@@ -339,40 +347,40 @@ def _walk_decisions(walk):
 
 
 def test_connecting_word_walk_decides_as_find_per_word():
-    # engine._avoiding against a bytes.find, startswith and endswith per
-    # pattern and word, on random inner, start and end pattern sets,
-    # alphabets of one to three letters, k = 0..6, both bounds of the
-    # occurrence window, and ranges resumed after a simulated insertion
-    # with one more pattern of each kind
+    # engine._avoiding against a bytes.find of every pattern over
+    # LM(a)·w·LM(b) and the window rule per word, on random pattern sets,
+    # random LM(a) and LM(b) (empty ones included), alphabets of one to
+    # three letters, k = 0..6, and ranges resumed after a simulated
+    # insertion with one more pattern
     rng = random.Random(20261019)
-    seen = dict.fromkeys(["mid", "short", "n1", "k0", "lo1", "hi", "resumed", "start", "end"], 0)
+    seen = dict.fromkeys(
+        ["mid", "short", "n1", "k0", "la0", "lb0", "resumed", "start", "end", "double", "edge"], 0
+    )
     for _ in range(3000):
         n, k = rng.randint(1, 3), rng.randint(0, 6)
-        lo, hi = rng.choice([(0, k), (1, k), (0, k - 1), (1, k - 1)])
 
-        def pattern():
-            return bytes(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+        def word(lo, hi):
+            return bytes(rng.randrange(n) for _ in range(rng.randint(lo, hi)))
 
-        def patterns(most):
-            return {pattern() for _ in range(rng.randint(0, most))}
-
-        cuts = (patterns(4), patterns(2), patterns(2))
+        lmf, lmg = word(0, 3), word(0, 3)
+        pats = {word(1, 4) for _ in range(rng.randint(0, 5))}
         r = rng.randrange(n**k)
         r_end = rng.randint(r + 1, n**k)
-        got = _walk_decisions(engine._avoiding(r, r_end, k, n, cuts, lo, hi))
-        assert got == _walk_by_find(r, r_end, k, n, cuts, lo, hi, seen), (n, k, cuts, lo, hi, r)
-        seen["n1"] += n == 1 and any(cuts)
+        got = _walk_decisions(engine._avoiding(r, r_end, k, n, pats, lmf, lmg))
+        assert got == _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen), (n, k, pats, lmf, lmg, r)
+        cut = any(d[0] == "cut" for d in got)
+        seen["n1"] += n == 1 and cut
         seen["k0"] += k == 0
-        seen["lo1"] += lo == 1 and any(d[0] == "cut" for d in got)
-        seen["hi"] += hi == k - 1 and any(d[0] == "cut" for d in got)
+        seen["la0"] += not lmf and cut
+        seen["lb0"] += not lmg and cut
         keeps = [d[1] for d in got if d[0] == "keep"]
         if keeps and keeps[0] + 1 < r_end:
             # an insertion after the first survivor: the rest of the range
-            # is walked again, with one more pattern of each kind
-            x, more = keeps[0], tuple(pats | {pattern()} for pats in cuts)
+            # is walked again, with one more pattern
+            x, more = keeps[0], pats | {word(1, 4)}
             mid = seen["mid"]
-            rest = _walk_decisions(engine._avoiding(x + 1, r_end, k, n, more, lo, hi))
-            assert rest == _walk_by_find(x + 1, r_end, k, n, more, lo, hi, seen)
+            rest = _walk_decisions(engine._avoiding(x + 1, r_end, k, n, more, lmf, lmg))
+            assert rest == _walk_by_find(x + 1, r_end, k, n, more, lmf, lmg, seen)
             seen["resumed"] += seen["mid"] > mid
     assert min(seen.values()) >= 20, seen
 
