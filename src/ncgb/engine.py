@@ -552,11 +552,11 @@ def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Wor
     ``t = lmf·w·lmg`` holds a pattern of ``pats``, the words of ranks
     ``cut_from .. x-1`` having been skipped; end with ``(cut_from, r_end,
     None)``.  A window is a slice ``t[s:e]`` with ``0 < s``, ``e < |t|``,
-    ``e > |lmf|`` and ``s < |lmf·w|``, and not both ``s < |lmf|`` and ``e >
-    |lmf·w|``.  A word whose first match ends at ``e`` is skipped with its
-    subtree, the words with prefix ``w[:min(e - |lmf|, k)]``.  Each word is
-    the last plus one with carry, and only the windows ending past the
-    changed position are looked up (see :meth:`_Engine._walk`)."""
+    ``e > |lmf|`` and ``s < |lmf·w|``.  A word whose first match ends at
+    ``e`` is skipped with its subtree, the words with prefix ``w[:min(e -
+    |lmf|, k)]``.  Each word is the last plus one with carry, and only the
+    windows ending past the changed position are looked up (see
+    :meth:`_Engine._walk`)."""
     la, lw = len(lmf), len(lmf) + k
     lens = {len(pat) for pat in pats}
     # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
@@ -564,7 +564,7 @@ def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Wor
         (e - m, e, min(e - la, k))
         for e in range(la + 1, lw + len(lmg))
         for m in lens
-        if 0 < e - m < lw and (e - m >= la or e <= lw)
+        if 0 < e - m < lw
     ]
     # those ending past p in w, at p + 1
     tails = [[x for x in wins if x[2] > p] for p in range(-1, k)]
@@ -961,18 +961,12 @@ class _Engine:
         :meth:`_process` with both active, which put its key in
         ``processed``.
 
-        The walk cuts the windows ``t[s:e]`` of :func:`_avoiding`: those of
-        the lemma but the double straddles, ``s < |LM(a)|`` and ``e >
-        |LM(a)·w|``, where ``LM(c)`` holds ``w`` and a letter on each side.
-        The proof holds for these too, both premises being first-type, but
-        :meth:`_process` discards their words one by one, and cutting them
-        would change the sequence of :meth:`_process` and :meth:`_cut`
-        calls; lifting the exclusion is a change of its own.  A window with
-        ``e <= |LM(a)·w|`` lies in ``LM(a)·w[:e - |LM(a)|]``, so it discards
-        every word with that prefix; any other reads all of ``w``.  The
-        windows depend only on the leading words of the active set, which
-        the walk reads once (:meth:`_thirds`) and which changes only at an
-        insertion.
+        The walk cuts the lemma's windows ``t[s:e]`` (:func:`_avoiding`).  A
+        window with ``e <= |LM(a)·w|`` lies in ``LM(a)·w[:e - |LM(a)|]``, so
+        it discards every word with that prefix; any other reads all of
+        ``w`` and discards one word.  The windows depend only on the leading
+        words of the active set, which the walk reads once (:meth:`_thirds`)
+        and which changes only at an insertion.
 
         So when the first window, by end, that holds a third leading word
         exists, with ``q = min(e - |LM(a)|, k)``, every word with prefix

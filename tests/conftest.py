@@ -335,10 +335,9 @@ def occurrences(t, pats):
 
 def is_window(s, e, lmf, w, lmg):
     """Is ``t[s:e]`` of ``t = lmf·w·lmg`` a window of the walk: ``0 < s``,
-    ``e < |t|``, ``e > |lmf|``, ``s < |lmf·w|``, and not both ``s < |lmf|``
-    and ``e > |lmf·w|``?"""
+    ``e < |t|``, ``e > |lmf|`` and ``s < |lmf·w|``?"""
     la, lw = len(lmf), len(lmf) + len(w)
-    return 0 < s and e < lw + len(lmg) and e > la and s < lw and not (s < la and e > lw)
+    return 0 < s and e < lw + len(lmg) and e > la and s < lw
 
 
 def first_cut_end(w, pats, lmf, lmg):
@@ -396,6 +395,24 @@ class EagerEngine(_Engine):
         if a not in self.active or b not in self.active:
             return
         self._process(kind, a, b, _word(r, lvl - self._meta(a, b).base, self.nletters))
+
+
+class CallRecordingEngine(_Engine):
+    """The engine, recording every ``_process(kind, i, j, data)`` and
+    ``_cut(lvl, kind, a, b, r, stop)`` call in ``calls``, a re-enqueued
+    element by its terms."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def _process(self, kind, i, j, data):
+        self.calls.append(("process", kind, i, j, data.terms if kind == "P" else data))
+        super()._process(kind, i, j, data)
+
+    def _cut(self, lvl, kind, a, b, r, stop):
+        self.calls.append(("cut", lvl, kind, a, b, r, stop))
+        super()._cut(lvl, kind, a, b, r, stop)
 
 
 class SetKeyedEngine(_Engine):

@@ -307,8 +307,9 @@ def _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen):
     the subtrees entered mid-way and those cut short by ``r_end``, the
     cuts of more than one word that a window straddling ``w``'s start
     decides, the one-word cuts that only windows straddling its end
-    decide, and the survivors holding a pattern that straddles both ends
-    of ``w`` or starts or ends ``t``, which are no windows."""
+    decide, those that only windows straddling both its ends (holding all
+    of ``w``) decide, and the survivors holding a pattern that starts or
+    ends ``t``, which is no window."""
     la, lw, lt = len(lmf), len(lmf) + k, len(lmf) + k + len(lmg)
     out = []
     while r < r_end:
@@ -316,8 +317,7 @@ def _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen):
         x = first_cut_end(w, pats, lmf, lmg)
         found = [(s, e) for s, e in occurrences(lmf + w + lmg, pats) if e > la and s < lw]
         if x is None:
-            seen["double"] += any(0 < s < la and lw < e < lt for s, e in found)
-            seen["edge"] += any((s == 0 or e == lt) and not (s < la and e > lw) for s, e in found)
+            seen["edge"] += any(s == 0 or e == lt for s, e in found)
             out.append(("keep", r, w))
             r += 1
             continue
@@ -327,7 +327,8 @@ def _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen):
         seen["short"] += stop < r - r % size + size
         wins = [(s, e) for s, e in found if is_window(s, e, lmf, w, lmg)]
         seen["start"] += size > 1 and any(s < la for s, e in wins if min(e - la, k) == x)
-        seen["end"] += all(e > lw for _, e in wins)
+        seen["end"] += all(s >= la and e > lw for s, e in wins)
+        seen["double"] += all(s < la and e > lw for s, e in wins)
         if out and out[-1][0] == "cut":
             out[-1] = ("cut", out[-1][1], stop)
         else:
@@ -995,29 +996,36 @@ def test_stats_counters_are_pinned(job, stats):
 
 class _SecondTypeCounting(_Engine):
     """The engine, counting the second-type words it dequeues one by one
-    through ``_process`` (those no bulk chain cut of ``_walk`` counts)."""
+    through ``_process`` (those no bulk chain cut of ``_walk`` counts), and
+    among them those that ``_process`` chain-discards."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.second_type = 0
+        self.second_type = self.chained = 0
 
     def _process(self, kind, i, j, data):
-        self.second_type += kind in (engine.S2, engine.G2)
+        before = self.stats.pairs_discarded_chain
         super()._process(kind, i, j, data)
+        if kind in (engine.S2, engine.G2):
+            self.second_type += 1
+            self.chained += self.stats.pairs_discarded_chain - before
 
 
-@pytest.mark.parametrize("ideal, d, most", [(_SKEW, 11, 400), (_TORSION, 9, 200)],
+@pytest.mark.parametrize("ideal, d, most, chained", [(_SKEW, 11, 400, 4), (_TORSION, 9, 200, 0)],
                          ids=["skew-Z-d11", "torsion-Z-d9"])
-def test_straddling_occurrences_are_cut_in_bulk(ideal, d, most):
+def test_straddling_occurrences_are_cut_in_bulk(ideal, d, most, chained):
     # occurrences that straddle LM(a)·w or w·LM(b) are cut by _walk's
     # lemma, so few second-type words reach _process one by one (3,039 on
     # skew at d=11 and 673 on torsion at d=9 when only occurrences inside
-    # w were cut); the test-mode audit checks every cut word with
-    # _chain_discard and the run is the plain one
+    # w were cut), and _process chain-discards almost none of them (141
+    # and 53 when occurrences holding all of w were not cut); the
+    # test-mode audit checks every cut word with _chain_discard and the
+    # run is the plain one
     job = parse_job(f"ring Z <x,y,z> degrevlexR(x>y>z) bound {d};\nideal {ideal};")
     counting = _SecondTypeCounting(job.ring, d, True, True, False)
     plain = counting.run(job.generators)
     assert counting.second_type <= most
+    assert counting.chained <= chained, counting.chained
     audited = buchberger(job.ring, job.generators, d, test_mode=True)
     assert audited.stats == plain.stats
     assert [g.terms for g in audited.basis] == [g.terms for g in plain.basis]
