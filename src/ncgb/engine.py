@@ -36,6 +36,7 @@ still exercises the second-type reductions empirically.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
-from .overlap import g_cofactors, overlaps, pair_poly, s_cofactors, sides, spoly1
+from .overlap import g_cofactors, overlaps, s_cofactors, sides, spoly1
 
 FLAG_COMPLETE = "conjecturally-complete"
 FLAG_TRUNCATED = "truncated"
@@ -91,10 +92,14 @@ class GBResult:
 # ---------------------------------------------------------------------------
 
 def _reducer(dom, g: Polynomial) -> tuple:
-    """A nonzero reducer ``g`` as ``(LM, |LM|, divisor of LC, terms, g)``,
-    the divisor being the form the division step divides by."""
+    """A nonzero reducer ``g`` as ``(LM, |LM|, divisor of LC, tail terms, g,
+    q)``, the divisor being the form the division step divides by, and ``q =
+    step(1, divisor)[0]`` for a unit LC, for which ``step(c, divisor) == (c*q,
+    0)`` (mod m over Z/m), None for any other (over Z the step on 1 is None)."""
     lm, lc = g.terms[0]
-    return (lm, len(lm), dom.divisor(lc), g.terms, g)
+    div = dom.divisor(lc)
+    hit = dom.step(dom.one, div)
+    return (lm, len(lm), div, g.terms[1:], g, None if hit is None else hit[0])
 
 
 class _ReducerSet:
@@ -125,8 +130,34 @@ def normal_form(
     ``trace`` is a list, every applied step ``(g, a, l, r)`` is appended,
     so that ``f == result + sum(a * l*g*r)``.  ``basis`` may be a list
     of polynomials or an already-prepared :class:`_ReducerSet`.
+
+    One loop, :func:`_reduce`, has two starts: ``dict(f.terms)`` here, and a
+    pair's two placed summands merged into one dict (:func:`_placed_sum`),
+    so that the completion never builds, sorts and merges a pair polynomial.
+    The loop reads only the words and coefficients it starts from, so both
+    give the same result and steps on the same polynomial.
     """
-    ring = f.ring
+    return _reduce(f.ring, dict(f.terms), basis, tail_reduce, trace)
+
+
+def _placed_sum(parts, modulus) -> dict:
+    """``sum(x * l*terms*r)`` over ``parts`` ``(x, l, r, terms)`` as a dict
+    of its nonzero coefficients (reduced mod ``modulus`` unless None): the
+    terms of :func:`overlap.pair_poly` on the same placed summands."""
+    acc: dict[Word, object] = {}
+    get = acc.get
+    for x, l, r, terms in parts:
+        for u, c in terms:
+            w = l + u + r
+            acc[w] = get(w, 0) + x * c
+    if modulus is not None:
+        return {w: c % modulus for w, c in acc.items() if c % modulus}
+    return {w: c for w, c in acc.items() if c}
+
+
+def _reduce(ring: FreeAlgebra, coeffs: dict, basis, tail_reduce: bool, trace) -> Polynomial:
+    """The loop of :func:`normal_form`, on the nonzero coefficients
+    ``coeffs`` (taken over) of the polynomial it reduces."""
     antikey = ring.word_antikey
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -136,45 +167,46 @@ def normal_form(
 
     # coefficient accumulator plus a lazy max-heap of words; stale heap
     # entries (cancelled or duplicated words) are skipped on pop
-    coeffs: dict[Word, object] = dict(f.terms)
-    heap = [(antikey(w), w) for w, _ in f.terms]
+    heap = [(antikey(w), w) for w in coeffs]
     heapq.heapify(heap)
     out: list[tuple[Word, object]] = []
     while heap:
-        w = heap[0][1]
+        w = heappop(heap)[1]
         c = coeffs.get(w)
         if c is None:
-            heappop(heap)
             continue
         lw = len(w)
-        for lmg, lg, div, gterms, gpoly in reducers:
+        for lmg, lg, div, gtail, gpoly, q in reducers:
             if lg > lw:
                 continue
             pos = w.find(lmg)
             if pos < 0:
                 continue
+            if q is not None:
+                a, b = (c * q if modulus is None else c * q % modulus), 0
+                break
             hit = step(c, div)
             if hit is not None:
+                a, b = hit
                 break
         else:
-            heappop(heap)
             del coeffs[w]
             out.append((w, c))
             if not tail_reduce:
                 break
             continue
-        a, b = hit
         l, r = w[:pos], w[pos + lg:]
         if trace is not None:
             trace.append((gpoly, a, l, r))
-        # subtract a * l*g*r; the leading word keeps coefficient b and
-        # every other touched word is strictly smaller, so it is safe to
-        # push it into the heap
+        # subtract a * l*g*r; the leading word keeps coefficient b, back on
+        # the heap to be stepped again, and every other touched word is
+        # strictly smaller, so it is safe to push it into the heap
         if b:
             coeffs[w] = b
+            heappush(heap, (antikey(w), w))
         else:
             del coeffs[w]
-        for u, cu in gterms[1:]:
+        for u, cu in gtail:
             nw = l + u + r
             old = coeffs.get(nw)
             nc = -a * cu if old is None else old - a * cu
@@ -233,16 +265,14 @@ class _WordForms:
         self.reducers = prepared.reducers
         # per reducer: its leading word, and for a unit leading coefficient
         # lc the terms (u, -c_u/lc) of the multiple of its tail that a
-        # unit-led word's step adds, None for a non-unit one.  A unit
-        # divides one exactly; any other coefficient has no step on one
-        # (over Z the nearest quotient of 1 by it is 0).
+        # unit-led word's step adds, None for a non-unit one (the record's
+        # unit quotient q is 1/lc, see _reducer)
         self.rules = []
-        for lmg, lg, div, gterms, _ in prepared.reducers:
-            hit = dom.step(dom.one, div)
-            if hit is None:
+        for lmg, lg, _, gtail, _, q in prepared.reducers:
+            if q is None:
                 tail = None
             else:
-                tail = [(u, _lean(-hit[0] * cu)) for u, cu in gterms[1:]]
+                tail = [(u, _lean(-q * cu)) for u, cu in gtail]
                 if dom.modulus is not None:
                     tail = [(u, c % dom.modulus) for u, c in tail]
             self.rules.append((lmg, lg, tail))
@@ -373,10 +403,10 @@ class _WordForms:
         entry = self.frontier.get(v)
         if entry is None:
             memo, steps = self.memo, []
-            for (lmg, lg, div, gterms, _), (_, _, tail) in zip(self.reducers, self.rules):
+            for (lmg, lg, div, gtail, _, _), (_, _, tail) in zip(self.reducers, self.rules):
                 pos = v.find(lmg)
                 if pos >= 0:
-                    parts = [(v[:pos] + u + v[pos + lg:], -cu) for u, cu in gterms[1:]]
+                    parts = [(v[:pos] + u + v[pos + lg:], -cu) for u, cu in gtail]
                     for x, _ in parts:
                         self.form(x)
                     it = iter(self._combine(parts))
@@ -546,7 +576,7 @@ def _rank(w: Word, n: int) -> int:
     return r
 
 
-def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Word):
+def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Word, tables: dict):
     """Yield ``(cut_from, x, w)`` for each word ``w``, of rank ``x`` in
     ``r .. r_end-1`` (length ``k``, bytes order), such that no window of
     ``t = lmf·w·lmg`` holds a pattern of ``pats``, the words of ranks
@@ -556,18 +586,19 @@ def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Wor
     ``e`` is skipped with its subtree, the words with prefix ``w[:min(e -
     |lmf|, k)]``.  Each word is the last plus one with carry, and only the
     windows ending past the changed position are looked up (see
-    :meth:`_Engine._walk`)."""
+    :meth:`_Engine._walk`).  ``tables`` maps ``(|lmf|, k, |lmg|)`` to the
+    window table of ``pats``, built here on first use."""
     la, lw = len(lmf), len(lmf) + k
-    lens = {len(pat) for pat in pats}
-    # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
-    wins = [
-        (e - m, e, min(e - la, k))
-        for e in range(la + 1, lw + len(lmg))
-        for m in lens
-        if 0 < e - m < lw
-    ]
-    # those ending past p in w, at p + 1
-    tails = [[x for x in wins if x[2] > p] for p in range(-1, k)]
+    key = (la, k, len(lmg))
+    tails = tables.get(key)
+    if tails is None:
+        lens = {len(pat) for pat in pats}
+        # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
+        wins = [(e - m, e, min(e - la, k)) for e in range(la + 1, lw + len(lmg))
+                for m in lens if 0 < e - m < lw]
+        # those with q past p, at p + 1: q never decreases with e, so a suffix
+        qs = [q for _, _, q in wins]
+        tails = tables[key] = [wins[bisect.bisect_right(qs, p):] for p in range(-1, k)]
     t, p, cut_from = bytearray(lmf + _word(r, k, n) + lmg), -1, r
     while r < r_end:
         tb = bytes(t)
@@ -673,7 +704,7 @@ class _Engine:
         """Enqueue all critical pairs between element ``n`` and the
         active basis (including ``n`` itself)."""
         lmn = self.active[n][0]
-        for k, (lmk, _, _, _, _) in self.active.items():
+        for k, (lmk, *_) in self.active.items():
             # first type, one orientation (the swapped S-poly is the
             # negation; the swapped G-poly differs by a multiple of the
             # S-poly)
@@ -784,21 +815,22 @@ class _Engine:
             return True
         return self._product_ok(first, second, gap)
 
-    def _thirds(self, need) -> tuple[list, set]:
+    def _thirds(self, need) -> tuple[list, set, dict]:
         """The chain criterion's third elements for a pair's ``need``
         (:meth:`_PairMeta.need`, None over a field): ``[(k, LM(c),
         |LM(c)|)]`` for each active ``c`` with a nonempty leading word and
         ``LC(c)`` dividing ``need``, in active order, and the set of those
-        words; kept per ``need`` until :meth:`_insert` changes the active
-        set."""
+        words, and :meth:`_walk`'s window tables of those words (see
+        :func:`_avoiding`); kept per ``need`` until :meth:`_insert` changes
+        the active set."""
         got = self.thirds.get(need)
         if got is None:
             rows = [
                 (k, lm, lk)
-                for k, (lm, lk, _, terms, _) in self.active.items()
-                if lk and (need is None or need % terms[0][1] == 0)
+                for k, (lm, lk, _, _, p, _) in self.active.items()
+                if lk and (need is None or need % p.terms[0][1] == 0)
             ]
-            got = self.thirds[need] = (rows, {lm for _, lm, _ in rows})
+            got = self.thirds[need] = (rows, {lm for _, lm, _ in rows}, {})
         return got
 
     def _chain_discard(self, kind: str, i: int, j: int, t: Word, pi: int, pj: int) -> bool:
@@ -826,9 +858,10 @@ class _Engine:
     def _retire(self, k: int) -> None:
         del self.active[k]
 
-    def _absorb(self, raw: Polynomial) -> bool:
-        """Reduce ``raw`` and insert the rest; False if it reduces to zero."""
-        h = normal_form(raw, self.reducers, tail_reduce=self.tail_reduce)
+    def _absorb(self, coeffs: dict) -> bool:
+        """Reduce the polynomial of nonzero coefficients ``coeffs`` (see
+        :func:`normal_form`), insert the rest; False if it reduces to zero."""
+        h = _reduce(self.ring, coeffs, self.reducers, self.tail_reduce, None)
         if h.is_zero:
             return False
         self._insert(h)
@@ -873,8 +906,8 @@ class _Engine:
         lc = h.leading_coeff()
         victims = [
             (k, lk, p)
-            for k, (lmk, lk, _, terms, p) in self.active.items()
-            if lm in lmk and dom.divides(lc, terms[0][1])
+            for k, (lmk, lk, _, _, p, _) in self.active.items()
+            if lm in lmk and dom.divides(lc, p.terms[0][1])
         ]
         for k, lk, p in victims:
             self._retire(k)
@@ -889,23 +922,26 @@ class _Engine:
     # -- pair processing ----------------------------------------------------
 
     def _build_pair_poly(self, kind: str, i: int, j: int, f: Polynomial, g: Polynomial,
-                         t: Word, pi: int, pj: int) -> Polynomial:
+                         t: Word, pi: int, pj: int) -> tuple:
         """The pair polynomial of elements ``i`` and ``j``, ``f`` and ``g``,
-        placed on ``t``, with the cofactors of their :class:`_PairMeta`
-        (over a field, where every element is monic, ``(1, -1)``); an
-        S-pair's cofactors are logged."""
+        placed on ``t``, as its two placed summands ``(x, lf, rf, f.terms)``
+        and ``(y, lg, rg, g.terms)`` (see :func:`overlap.pair_poly`), with the
+        cofactors ``(x, y)`` of their :class:`_PairMeta` (over a field, where
+        every element is monic, ``(1, -1)``); an S-pair's are logged."""
         if self.field_mode:
-            return pair_poly(f, g, t, pi, pj, *self.field_cofactors)
-        cofactors = self._meta(i, j).cofactors
-        if kind in (G1, G2):
-            return pair_poly(f, g, t, pi, pj, cofactors[2], cofactors[3])
-        if self.cofactor_log is not None:
-            self.cofactor_log.append(cofactors)
-        return pair_poly(f, g, t, pi, pj, cofactors[0], -cofactors[1])
+            x, y = self.field_cofactors
+        elif kind in (G1, G2):
+            x, y = self._meta(i, j).cofactors[2:]
+        else:
+            cofactors = self._meta(i, j).cofactors
+            if self.cofactor_log is not None:
+                self.cofactor_log.append(cofactors)
+            x, y = cofactors[0], -cofactors[1]
+        return (x, *sides(f, t, pi), f.terms), (y, *sides(g, t, pj), g.terms)
 
     def _process(self, kind: str, i: int, j: int, data) -> None:
         if kind == "P":
-            self._absorb(data)
+            self._absorb(dict(data.terms))
             return
         if i not in self.active or j not in self.active:
             return
@@ -919,7 +955,8 @@ class _Engine:
             if self.discard_log is not None:
                 self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            if not self._absorb(self._build_pair_poly(kind, i, j, f, g, t, pi, pj)):
+            parts = self._build_pair_poly(kind, i, j, f, g, t, pi, pj)
+            if not self._absorb(_placed_sum(parts, self.ring.domain.modulus)):
                 self.stats.reductions_to_zero += 1
         # an S-pair, discarded or reduced, is handled: a premise of the
         # chain criterion from now on (G-pairs never are one)
@@ -966,7 +1003,8 @@ class _Engine:
         it discards every word with that prefix; any other reads all of
         ``w`` and discards one word.  The windows depend only on the leading
         words of the active set, which the walk reads once (:meth:`_thirds`)
-        and which changes only at an insertion.
+        and which changes only at an insertion, and on ``|LM(a)|``, ``k`` and
+        ``|LM(b)|``.
 
         So when the first window, by end, that holds a third leading word
         exists, with ``q = min(e - |LM(a)|, k)``, every word with prefix
@@ -978,7 +1016,17 @@ class _Engine:
         and it held nothing in the old word, ending before the old word's
         first match.  So only the windows with ``q`` past that position are
         looked up, in end order, and the first that matches is the new
-        word's.  Every survivor goes through :meth:`_process`, and the run
+        word's.
+
+        Those lists, one per position, are the window table.  ``q`` never
+        decreases as ``e`` grows, so the windows with ``q`` past a position
+        are a suffix of the list of all windows in end order, and each list
+        is a slice of that one.  The table is built once per ``(|LM(a)|, k,
+        |LM(b)|)`` and kept in the :meth:`_thirds` entry of the pair's
+        ``need``, whose words it reads; :meth:`_insert` clears it with that
+        entry, when the words can change.
+
+        Every survivor goes through :meth:`_process`, and the run
         of subtrees skipped before it through one :meth:`_cut`, called just
         before (the last run as the walk ends).  Between two survivors only
         the test mode's audit reads ``queued``, ``peak_queue_size`` (raised
@@ -997,8 +1045,8 @@ class _Engine:
         meta = self._meta(a, b)
         k, n = lvl - meta.base, self.nletters
         inserted = self.stats.basis_insertions
-        pats = self._thirds(meta.need(kind))[1]
-        for cut_from, x, w in _avoiding(r, r_end, k, n, pats, meta.lmf, meta.lmg):
+        _, pats, tables = self._thirds(meta.need(kind))
+        for cut_from, x, w in _avoiding(r, r_end, k, n, pats, meta.lmf, meta.lmg, tables):
             if cut_from < x:
                 self._cut(lvl, kind, a, b, cut_from, x)
             if w is None:
@@ -1044,7 +1092,7 @@ class _Engine:
         for g in clean:
             if self.unit:
                 break
-            self._absorb(g)
+            self._absorb(dict(g.terms))
 
         while self.heap and not self.unit:
             lvl, seq, kind, i, j, data = heapq.heappop(self.heap)
@@ -1060,7 +1108,7 @@ class _Engine:
         if self.unit:
             basis = [ring.one]
         else:
-            basis = [g for *_, g in self.active.values()]
+            basis = [rec[4] for rec in self.active.values()]
             if self.reduce:
                 basis = interreduce(basis, tail_reduce=self.tail_reduce)
         # leading words are unique here (_insert keeps one owner per word)

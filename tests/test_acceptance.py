@@ -685,8 +685,10 @@ def test_chain_third_elements_equal_a_fresh_filter():
     fresh, in-order filter of the active set (``FreshThirdsEngine``), on
     the integer acceptance examples, on the skew, torsion and commutator
     ideals over Q and Z/7 in two orderings, and on random ideals over Z, Q and Z/7 in two
-    orderings; the runs, in test mode, equal the plain engine's."""
+    orderings; the runs, in test mode, equal the plain engine's.  The walk's
+    window tables cached with them are checked too."""
     t0 = time.monotonic()
+    tables = []
 
     def run(ring, gens, bound, tail):
         checked = FreshThirdsEngine(ring, bound, True, tail, True)
@@ -696,6 +698,7 @@ def test_chain_third_elements_equal_a_fresh_filter():
         assert [g.terms for g in got.basis] == [g.terms for g in plain.basis]
         assert got.discard_log == plain.discard_log
         assert got.insertion_log == plain.insertion_log
+        tables.append(checked.tables)
         return checked.checks
 
     checks = 0
@@ -724,6 +727,7 @@ def test_chain_third_elements_equal_a_fresh_filter():
                 checks += run(ring, gens, rng.randint(3, 6), i % 4 < 2)
     assert on_integers > 10_000 and on_fields > 400, (on_integers, on_fields)
     assert checks > on_integers + on_fields, checks
+    assert sum(tables) > 1000, sum(tables)
     _elapsed_under(120, t0)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -352,11 +353,21 @@ def test_connecting_word_walk_decides_as_find_per_word():
     # LM(a)·w·LM(b) and the window rule per word, on random pattern sets,
     # random LM(a) and LM(b) (empty ones included), alphabets of one to
     # three letters, k = 0..6, and ranges resumed after a simulated
-    # insertion with one more pattern
+    # insertion with one more pattern; the window tables are kept per
+    # pattern set across draws, as the engine keeps them per third-element
+    # set, so that many walks read a table another walk built
     rng = random.Random(20261019)
     seen = dict.fromkeys(
-        ["mid", "short", "n1", "k0", "la0", "lb0", "resumed", "start", "end", "double", "edge"], 0
+        ["mid", "short", "n1", "k0", "la0", "lb0", "resumed", "start", "end", "double", "edge",
+         "cached"], 0
     )
+    by_pats = {}
+
+    def walk(r, r_end, k, n, pats, lmf, lmg):
+        tables = by_pats.setdefault(frozenset(pats), {})
+        seen["cached"] += (len(lmf), k, len(lmg)) in tables
+        return _walk_decisions(engine._avoiding(r, r_end, k, n, pats, lmf, lmg, tables))
+
     for _ in range(3000):
         n, k = rng.randint(1, 3), rng.randint(0, 6)
 
@@ -367,7 +378,7 @@ def test_connecting_word_walk_decides_as_find_per_word():
         pats = {word(1, 4) for _ in range(rng.randint(0, 5))}
         r = rng.randrange(n**k)
         r_end = rng.randint(r + 1, n**k)
-        got = _walk_decisions(engine._avoiding(r, r_end, k, n, pats, lmf, lmg))
+        got = walk(r, r_end, k, n, pats, lmf, lmg)
         assert got == _walk_by_find(r, r_end, k, n, pats, lmf, lmg, seen), (n, k, pats, lmf, lmg, r)
         cut = any(d[0] == "cut" for d in got)
         seen["n1"] += n == 1 and cut
@@ -380,7 +391,7 @@ def test_connecting_word_walk_decides_as_find_per_word():
             # is walked again, with one more pattern
             x, more = keeps[0], pats | {word(1, 4)}
             mid = seen["mid"]
-            rest = _walk_decisions(engine._avoiding(x + 1, r_end, k, n, more, lmf, lmg))
+            rest = walk(x + 1, r_end, k, n, more, lmf, lmg)
             assert rest == _walk_by_find(x + 1, r_end, k, n, more, lmf, lmg, seen)
             seen["resumed"] += seen["mid"] > mid
     assert min(seen.values()) >= 20, seen
@@ -633,12 +644,12 @@ def _check_spreads(forms, ring):
     modulus = ring.domain.modulus
     for v, (_, _, steps) in forms.frontier.items():
         want = []
-        for (lmg, lg, div, gterms, _), (_, _, tail) in zip(fresh.reducers, fresh.rules):
+        for (lmg, lg, div, gtail, _, _), (_, _, tail) in zip(fresh.reducers, fresh.rules):
             pos = v.find(lmg)
             if pos < 0:
                 continue
             spread = {}
-            for u, cu in gterms[1:]:
+            for u, cu in gtail:
                 x = v[:pos] + u + v[pos + lg:]
                 f = fresh.form(x)
                 it = iter(f)
@@ -817,7 +828,6 @@ def test_verifier_builds_no_pair_polynomial(domain, monkeypatch):
 
     from ncgb import freealg, overlap
     monkeypatch.setattr(overlap, "pair_poly", forbidden)
-    monkeypatch.setattr(engine, "pair_poly", forbidden)
     monkeypatch.setattr(freealg.FreeAlgebra, "merge_terms", forbidden)
     assert [verify_strong_basis(r, b, d) for b in cases] == want
 
@@ -885,17 +895,22 @@ def test_cofactor_log_satisfies_determinant_identity():
 
 
 class _CheckedPairPolys(_Engine):
-    """The engine, checking every pair polynomial it builds against the S-
-    or G-polynomial that :func:`spoly1` or :func:`spoly2` gives at the same
-    placement, and recording the pair kinds it built."""
+    """The engine, checking every pair polynomial it builds, the sum of its
+    two placed summands, against the S- or G-polynomial that :func:`spoly1`
+    or :func:`spoly2` gives at the same placement, and recording the pair
+    kinds it built."""
 
     def _build_pair_poly(self, kind, i, j, f, g, t, pi, pj):
         got = super()._build_pair_poly(kind, i, j, f, g, t, pi, pj)
+        r = self.ring
+        total = r.zero
+        for x, lp, rp, terms in got:
+            total = r.add(total, r.scaled_translate(x, lp, rp, r.from_terms(terms)))
         if kind in (engine.S1, engine.G1):
             sp, gp = spoly1(f, g, t, pi, pj)
         else:
             sp, gp = spoly2(f, g, t[len(f.leading_word()):pj])
-        assert got == (gp if kind in (engine.G1, engine.G2) else sp), (kind, t, pi, pj)
+        assert total == (gp if kind in (engine.G1, engine.G2) else sp), (kind, t, pi, pj)
         self.built.add(kind)
         return got
 
@@ -922,6 +937,93 @@ def test_pair_polys_are_the_s_and_g_polynomials(domain, kind, ranked, gens, d):
     # over a field only first-type S-pairs are formed
     want = {engine.S1} if domain.is_field else {engine.S1, engine.G1, engine.S2, engine.G2}
     assert eng.built == want
+
+
+@pytest.mark.parametrize(
+    "domain", [ZZ, QQ, residue_domain(7), residue_domain(30)], ids=["Z", "Q", "Z7", "Z30"]
+)
+def test_reduction_from_placed_summands_is_normal_form_of_the_pair_polynomial(domain):
+    # the completion starts a pair's reduction from its two placed summands
+    # merged into one dict (engine._placed_sum), not from the pair
+    # polynomial: on random pairs, first- and second-type placements and
+    # S- and G-cofactors (S only over Q, which has no gcd cofactors), with
+    # and without tail reduction, the remainder's terms (with their types)
+    # and the trace of steps are those of normal_form on pair_poly
+    rng = random.Random(20261020)
+    r = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
+    dom, n = r.domain, len(r.alphabet)
+    seen = dict.fromkeys(["S", "G", "second", "aligned", "zero", "nonzero", "steps"], 0)
+    for _ in range(150):
+        gens = random_polys(r, rng, ngens=5, maxterms=4, maxlen=3, maxcoeff=12)
+        if len(gens) < 3:
+            continue
+        f, g = gens[0], gens[1]
+        if rng.random() < 0.3:
+            # g on f's leading word, for aligned placements
+            lower = [(x, c) for x, c in g.terms if r.compare_words(x, f.terms[0][0]) < 0]
+            g = gens[1] = r.poly([(f.terms[0][0], dom.coerce(rng.randint(1, 6)))] + lower)
+        rng.shuffle(gens)
+        prepared = _ReducerSet(r, gens)
+        (u, cf), (v, cg) = f.terms[0], g.terms[0]
+        w = bytes(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+        places = [(u + w + v, 0, len(u) + len(w))] + engine._first_type(u, v)
+        if u == v:
+            places.append((u, 0, 0))
+        af, ag = s_cofactors(dom, cf, cg)
+        cofactors = [("S", af, -ag)]
+        if domain != QQ:
+            cofactors.append(("G", *g_cofactors(dom, cf, cg)[:2]))
+        for (t, pf, pg), (kind, x, y) in itertools.product(places, cofactors):
+            parts = ((x, *sides(f, t, pf), f.terms), (y, *sides(g, t, pg), g.terms))
+            for tail in (False, True):
+                want_trace, got_trace = [], []
+                want = normal_form(pair_poly(f, g, t, pf, pg, x, y), prepared, tail, want_trace)
+                start = engine._placed_sum(parts, dom.modulus)
+                got = engine._reduce(r, start, prepared, tail, got_trace)
+                assert repr(got.terms) == repr(want.terms), (kind, t, pf, pg, tail)
+                assert got_trace == want_trace, (kind, t, pf, pg, tail)
+                seen[kind] += 1
+                seen["second"] += pg == len(u) + len(w) and pf == 0 and t == u + w + v
+                seen["aligned"] += t == u == v and pf == pg == 0
+                seen["zero" if got.is_zero else "nonzero"] += 1
+                seen["steps"] += len(got_trace)
+    assert min(seen[k] for k in seen if not (k == "G" and domain == QQ)) >= 20, seen
+
+
+def test_completion_builds_pair_polynomials_only_in_the_aligned_swap(monkeypatch):
+    # a queued pair is reduced from its two placed summands, so over Z and
+    # Q the only pair polynomials a completion builds are those of
+    # _insert's aligned swap, through spoly1
+    from ncgb import overlap
+
+    made, swap_of = overlap.pair_poly, overlap.spoly1
+    state = {"in_swap": False, "swaps": 0, "built": 0}
+
+    def checked_pair_poly(*args):
+        assert state["in_swap"], "a pair polynomial built outside the aligned swap"
+        state["built"] += 1
+        return made(*args)
+
+    def swap(f, g, t, pf, pg):
+        assert t == f.leading_word() == g.leading_word() and pf == pg == 0
+        state["in_swap"], state["swaps"] = True, state["swaps"] + 1
+        try:
+            return swap_of(f, g, t, pf, pg)
+        finally:
+            state["in_swap"] = False
+
+    # in every module that holds the builder, as a direct import would
+    for mod in [m for name, m in sys.modules.items() if name.startswith("ncgb")]:
+        if getattr(mod, "pair_poly", None) is made:
+            monkeypatch.setattr(mod, "pair_poly", checked_pair_poly)
+    monkeypatch.setattr(engine, "spoly1", swap)
+    for domain, gens, d in [(ZZ, SKEW, 8), (ZZ, TORSION, 7), (ZZ, "4*x*y + y, 6*y*x + x", 6),
+                            (QQ, SKEW, 8), (residue_domain(7), TORSION, 7)]:
+        r = make_ring(domain, "xyz", DEG_RIGHT_LEX, ["x", "y", "z"])
+        res = buchberger(r, polys(r, gens), d)
+        assert res.stats.reductions_to_zero > 0
+    # each swap builds its S- and G-polynomial
+    assert state["swaps"] > 0 and state["built"] == 2 * state["swaps"], state
 
 
 # -- random completions stay verifiable -------------------------------------------
