@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
-from .overlap import g_cofactors, overlaps, s_cofactors, sides, spoly1
+from .overlap import g_cofactors, overlaps, s_cofactors, sides
 
 FLAG_COMPLETE = "conjecturally-complete"
 FLAG_TRUNCATED = "truncated"
@@ -102,42 +102,24 @@ def _reducer(dom, g: Polynomial) -> tuple:
     return (lm, len(lm), div, g.terms[1:], g, None if hit is None else hit[0])
 
 
-class _ReducerSet:
-    """A basis prepared for repeated :func:`normal_form` calls: one
-    :func:`_reducer` record per nonzero element, in order.  ``reducers``
-    may be any iterable of records; the engine's is a live view of its
-    active set.
-    """
-
-    __slots__ = ("ring", "reducers")
-
-    def __init__(self, ring: FreeAlgebra, basis):
-        self.ring = ring
-        self.reducers = [_reducer(ring.domain, g) for g in basis if g.terms]
-
-
 def normal_form(
-    f: Polynomial,
-    basis,
-    tail_reduce: bool = False,
-    trace: list | None = None,
+    f: Polynomial, basis, tail_reduce: bool = False, trace: list | None = None
 ) -> Polynomial:
-    """Iterated lm-reduction of ``f`` against ``basis``.
+    """Iterated lm-reduction of ``f`` against the polynomials ``basis``.
 
     The reducer is the first applicable basis element in the given
     order, applied at the leftmost occurrence of its leading word.  With
     ``tail_reduce`` the loop continues into the non-leading terms.  When
     ``trace`` is a list, every applied step ``(g, a, l, r)`` is appended,
-    so that ``f == result + sum(a * l*g*r)``.  ``basis`` may be a list
-    of polynomials or an already-prepared :class:`_ReducerSet`.
+    so that ``f == result + sum(a * l*g*r)``.
 
-    One loop, :func:`_reduce`, has two starts: ``dict(f.terms)`` here, and a
-    pair's two placed summands merged into one dict (:func:`_placed_sum`),
-    so that the completion never builds, sorts and merges a pair polynomial.
-    The loop reads only the words and coefficients it starts from, so both
-    give the same result and steps on the same polynomial.
+    This is :func:`_reduce` on ``dict(f.terms)`` and a :func:`_reducer`
+    record per nonzero element of ``basis``.  The engine, ``interreduce``
+    and ``gb_equivalent`` call :func:`_reduce` on records they build once.
     """
-    return _reduce(f.ring, dict(f.terms), basis, tail_reduce, trace)
+    dom = f.ring.domain
+    reducers = [_reducer(dom, g) for g in basis if g.terms]
+    return _reduce(f.ring, dict(f.terms), reducers, tail_reduce, trace)
 
 
 def _placed_sum(parts, modulus) -> dict:
@@ -155,15 +137,17 @@ def _placed_sum(parts, modulus) -> dict:
     return {w: c for w, c in acc.items() if c}
 
 
-def _reduce(ring: FreeAlgebra, coeffs: dict, basis, tail_reduce: bool, trace) -> Polynomial:
-    """The loop of :func:`normal_form`, on the nonzero coefficients
-    ``coeffs`` (taken over) of the polynomial it reduces."""
+def _reduce(ring: FreeAlgebra, coeffs: dict, reducers, tail_reduce: bool, trace) -> Polynomial:
+    """The reduction loop of :func:`normal_form`, on the nonzero
+    coefficients ``coeffs`` (taken over) of the polynomial it reduces,
+    against the :func:`_reducer` records ``reducers`` in order.  Every
+    reduction runs here: of a generator, a retired element, a pair's placed
+    summands (:func:`_placed_sum`) or a tail in ``interreduce``.  Only the
+    words and coefficients are read, so any dict of a polynomial's terms
+    gives its remainder and steps."""
     antikey = ring.word_antikey
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    prepared = basis if isinstance(basis, _ReducerSet) else _ReducerSet(ring, basis)
-    step, modulus = prepared.ring.domain.step, prepared.ring.domain.modulus
-    reducers = prepared.reducers
+    step, modulus = ring.domain.step, ring.domain.modulus
 
     # coefficient accumulator plus a lazy max-heap of words; stale heap
     # entries (cancelled or duplicated words) are skipped on pop
@@ -240,10 +224,11 @@ def _lean(c):
 
 class _WordForms:
     """Reduction to zero through memoised forms of single words; the
-    unit-led, frontier and leaf words of ``prepared``'s reducers and the
-    proof are in :func:`verify_strong_basis`.  A unit-led word's step is
-    linear: ``c*w`` becomes ``-c*a * sum(c_u * l*u*r)`` over its first
-    reducer's tail terms ``c_u*u``, ``a`` one over the leading coefficient.
+    unit-led, frontier and leaf words of the :func:`_reducer` records
+    ``reducers`` and the proof are in :func:`verify_strong_basis`.  A
+    unit-led word's step is linear: ``c*w`` becomes ``-c*a * sum(c_u *
+    l*u*r)`` over its first reducer's tail terms ``c_u*u``, ``a`` one over
+    the leading coefficient.
     The memo maps a unit-led word to its expansion into leaf and frontier
     words, flat as ``(word, coeff, word, coeff, ...)`` with nonzero
     coefficients, and a leaf or frontier word to its sentinel; ``size``
@@ -259,16 +244,16 @@ class _WordForms:
         "antikey", "domain", "reducers", "rules", "mixed", "pack", "memo", "size", "frontier",
     )
 
-    def __init__(self, prepared: _ReducerSet):
-        dom = self.domain = prepared.ring.domain
-        self.antikey = prepared.ring.word_antikey
-        self.reducers = prepared.reducers
+    def __init__(self, ring: FreeAlgebra, reducers: list):
+        dom = self.domain = ring.domain
+        self.antikey = ring.word_antikey
+        self.reducers = reducers
         # per reducer: its leading word, and for a unit leading coefficient
         # lc the terms (u, -c_u/lc) of the multiple of its tail that a
         # unit-led word's step adds, None for a non-unit one (the record's
         # unit quotient q is 1/lc, see _reducer)
         self.rules = []
-        for lmg, lg, _, gtail, _, q in prepared.reducers:
+        for lmg, lg, _, gtail, _, q in reducers:
             if q is None:
                 tail = None
             else:
@@ -587,11 +572,15 @@ def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Wor
     |lmf|, k)]``.  Each word is the last plus one with carry, and only the
     windows ending past the changed position are looked up (see
     :meth:`_Engine._walk`).  ``tables`` maps ``(|lmf|, k, |lmg|)`` to the
-    window table of ``pats``, built here on first use."""
+    window table of ``pats`` for the level being walked, built here on first
+    use."""
     la, lw = len(lmf), len(lmf) + k
     key = (la, k, len(lmg))
     tails = tables.get(key)
     if tails is None:
+        # no walk reads a lower level before an insertion clears the entry
+        if tables and sum(next(iter(tables))) != lw + len(lmg):
+            tables.clear()
         lens = {len(pat) for pat in pats}
         # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
         wins = [(e - m, e, min(e - la, k)) for e in range(la + 1, lw + len(lmg))
@@ -648,16 +637,15 @@ class _Engine:
 
         # index -> _reducer record of each active element, the only store of
         # elements: an index is its element's insertion count, and a retired
-        # one is absent; reductions read a live view
+        # one is absent; every reduction reads its values, in this order
         self.active: dict[int, tuple] = {}
-        self.reducers = _ReducerSet(ring, ())
-        self.reducers.reducers = self.active.values()
         # pending work (weight, seq, kind, i, j, data), popped in that
         # order, each entry with its own sequence number: the weight is the
         # length of the common word; data is the placement (t, pi, pj) of a
         # first-type pair, the word ranks (r, r_end) of a range of
-        # second-type ones (see _walk), and the raw polynomial of a
-        # re-enqueued element (kind "P", i = j = -1).  A level entry
+        # second-type ones (see _walk), and the nonzero coefficients by word
+        # of a polynomial to reduce and insert (kind "P", i = j = -1): a
+        # retired element or the S-part of an aligned swap.  A level entry
         # (lvl, -1, n, a, b, None) materialises the second-type pairs of
         # ordered (a, b) at level lvl once due (see _register).  queued
         # counts pairs, a range one per word still in it.
@@ -860,8 +848,8 @@ class _Engine:
 
     def _absorb(self, coeffs: dict) -> bool:
         """Reduce the polynomial of nonzero coefficients ``coeffs`` (see
-        :func:`normal_form`), insert the rest; False if it reduces to zero."""
-        h = _reduce(self.ring, coeffs, self.reducers, self.tail_reduce, None)
+        :func:`_reduce`), insert the rest; False if it reduces to zero."""
+        h = _reduce(self.ring, coeffs, self.active.values(), self.tail_reduce, None)
         if h.is_zero:
             return False
         self._insert(h)
@@ -886,18 +874,25 @@ class _Engine:
             e = next((k for k, rec in self.active.items() if rec[0] == lm), None)
             if e is None:
                 break
-            # same leading word, only over a ring (over a field normal_form
+            # same leading word, only over a ring (over a field the reduction
             # has stepped it): the aligned first-type pair is a unimodular
-            # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner
+            # swap (a_f*b_g + a_g*b_f == 1) that keeps one owner; its S-part
+            # is queued and its G-part replaces h, each summed from its two
+            # placed summands, as a queued pair's polynomial is
             fe = self.active[e][4]
+            cf = fe.terms[0][1]
+            (af, ag), (bf, bg, _) = s_cofactors(dom, cf, lc), g_cofactors(dom, cf, lc)
             if self.cofactor_log is not None:
-                self.cofactor_log.append(_PairMeta(fe, h).cofactors)
-            sp, gp = spoly1(fe, h, lm, 0, 0)
+                self.cofactor_log.append((af, ag, bf, bg))
             self._retire(e)
-            if not sp.is_zero:
-                self._push(len(sp.leading_word()), "P", -1, -1, sp)
-            # gp keeps its leading term: its LC divides LC(h), which no remaining reducer steps
-            h = normal_form(gp, self.reducers, tail_reduce=self.tail_reduce)
+            f_at, h_at = (b"", b"", fe.terms), (b"", b"", h.terms)
+            sp = _placed_sum(((af, *f_at), (-ag, *h_at)), dom.modulus)
+            if sp:
+                self._push(len(max(sp, key=ring.word_key)), "P", -1, -1, sp)
+            # the G-part keeps its leading term: its LC divides LC(h), which
+            # no remaining reducer steps
+            gp = _placed_sum(((bf, *f_at), (bg, *h_at)), dom.modulus)
+            h = _reduce(ring, gp, self.active.values(), self.tail_reduce, None)
             h = ring.normalize_leading(h)
 
         # simplification: retire elements whose leading term the new one
@@ -911,7 +906,7 @@ class _Engine:
         ]
         for k, lk, p in victims:
             self._retire(k)
-            self._push(lk, "P", -1, -1, p)
+            self._push(lk, "P", -1, -1, dict(p.terms))
 
         n = self.stats.basis_insertions
         self.active[n] = _reducer(dom, h)
@@ -922,12 +917,13 @@ class _Engine:
     # -- pair processing ----------------------------------------------------
 
     def _build_pair_poly(self, kind: str, i: int, j: int, f: Polynomial, g: Polynomial,
-                         t: Word, pi: int, pj: int) -> tuple:
+                         t: Word, pi: int, pj: int) -> dict:
         """The pair polynomial of elements ``i`` and ``j``, ``f`` and ``g``,
-        placed on ``t``, as its two placed summands ``(x, lf, rf, f.terms)``
-        and ``(y, lg, rg, g.terms)`` (see :func:`overlap.pair_poly`), with the
-        cofactors ``(x, y)`` of their :class:`_PairMeta` (over a field, where
-        every element is monic, ``(1, -1)``); an S-pair's are logged."""
+        placed on ``t``, as the dict that :func:`_placed_sum` merges from its
+        two placed summands ``(x, lf, rf, f.terms)`` and ``(y, lg, rg,
+        g.terms)``, with the cofactors ``(x, y)`` of their :class:`_PairMeta`
+        (over a field, where every element is monic, ``(1, -1)``); an
+        S-pair's are logged."""
         if self.field_mode:
             x, y = self.field_cofactors
         elif kind in (G1, G2):
@@ -937,11 +933,12 @@ class _Engine:
             if self.cofactor_log is not None:
                 self.cofactor_log.append(cofactors)
             x, y = cofactors[0], -cofactors[1]
-        return (x, *sides(f, t, pi), f.terms), (y, *sides(g, t, pj), g.terms)
+        parts = (x, *sides(f, t, pi), f.terms), (y, *sides(g, t, pj), g.terms)
+        return _placed_sum(parts, self.ring.domain.modulus)
 
     def _process(self, kind: str, i: int, j: int, data) -> None:
         if kind == "P":
-            self._absorb(dict(data.terms))
+            self._absorb(data)
             return
         if i not in self.active or j not in self.active:
             return
@@ -955,8 +952,7 @@ class _Engine:
             if self.discard_log is not None:
                 self.discard_log.append(("chain-" + kind, f, g, data))
         else:
-            parts = self._build_pair_poly(kind, i, j, f, g, t, pi, pj)
-            if not self._absorb(_placed_sum(parts, self.ring.domain.modulus)):
+            if not self._absorb(self._build_pair_poly(kind, i, j, f, g, t, pi, pj)):
                 self.stats.reductions_to_zero += 1
         # an S-pair, discarded or reduced, is handled: a premise of the
         # chain criterion from now on (G-pairs never are one)
@@ -1024,7 +1020,9 @@ class _Engine:
         is a slice of that one.  The table is built once per ``(|LM(a)|, k,
         |LM(b)|)`` and kept in the :meth:`_thirds` entry of the pair's
         ``need``, whose words it reads; :meth:`_insert` clears it with that
-        entry, when the words can change.
+        entry, when the words can change.  Between insertions the heap pops
+        by level, so a table of a lower level is never read again: building
+        the first table of a new level drops those of the last.
 
         Every survivor goes through :meth:`_process`, and the run
         of subtrees skipped before it through one :meth:`_cut`, called just
@@ -1084,12 +1082,8 @@ class _Engine:
 
     def run(self, gens: list[Polynomial]) -> GBResult:
         ring = self.ring
-        clean = [g for g in gens if not g.is_zero]
-        if clean:
-            longest = max(g.max_word_length() for g in clean)
-            if self.d < longest:
-                raise ValueError("bound too small")
-        for g in clean:
+        check_bound(gens, self.d)
+        for g in gens:  # a zero generator reduces to zero at once
             if self.unit:
                 break
             self._absorb(dict(g.terms))
@@ -1143,12 +1137,17 @@ def buchberger(
     pass.  ``test_mode`` records discarded pairs and cofactor quadruples
     for the audit suites.
 
-    Raises ``ValueError("bound too small")`` when ``d`` is below the
-    longest word among the generators.
+    Raises ``ValueError("bound too small")`` as :func:`check_bound` does,
+    after the engine has refused a composite modulus.
     """
-    if d < 1:
-        raise ValueError("bound too small")
     return _Engine(ring, d, reduce, tail_reduce, test_mode).run(gens)
+
+
+def check_bound(gens: list[Polynomial], d: int) -> None:
+    """The one bound rule of every completion: ``ValueError("bound too
+    small")`` when ``d`` is below 1 or below a generator's longest word."""
+    if d < 1 or any(g.max_word_length() > d for g in gens):
+        raise ValueError("bound too small")
 
 
 # ---------------------------------------------------------------------------
@@ -1195,11 +1194,11 @@ def interreduce(basis: list[Polynomial], tail_reduce: bool = True) -> list[Polyn
     items = ((p.leading_word(), norm(p.leading_coeff()), p) for p in basis if not p.is_zero)
     kept = [ring.normalize_leading(p) for p in keep_minimal(ring, items)]
     if tail_reduce:
-        prepared = _ReducerSet(ring, kept)
+        reducers = [_reducer(ring.domain, p) for p in kept]
         for idx, p in enumerate(kept):
-            red = normal_form(ring.from_terms(p.terms[1:]), prepared, tail_reduce=True)
+            red = _reduce(ring, dict(p.terms[1:]), reducers, True, None)
             kept[idx] = ring.add(ring.from_terms(p.terms[:1]), red)
-            prepared.reducers[idx] = _reducer(ring.domain, kept[idx])
+            reducers[idx] = _reducer(ring.domain, kept[idx])
     return kept
 
 
@@ -1256,8 +1255,8 @@ def gb_equivalent(G1: list[Polynomial], G2: list[Polynomial], d: int) -> bool:
     """
     for A, B in ((G1, G2), (G2, G1)):
         if A:
-            prepared = _ReducerSet(A[0].ring, B)
-            if not all(normal_form(g, prepared).is_zero for g in A):
+            reducers = [_reducer(A[0].ring.domain, g) for g in B if g.terms]
+            if not all(_reduce(g.ring, dict(g.terms), reducers, False, None).is_zero for g in A):
                 return False
 
     def minimal(G):
@@ -1381,7 +1380,7 @@ def verify_strong_basis(ring: FreeAlgebra, basis: list[Polynomial], d: int) -> l
         (g for g in basis if g.terms),
         key=lambda g: (len(g.leading_word()), abs(g.leading_coeff())),
     )
-    forms = _WordForms(_ReducerSet(ring, order))
+    forms = _WordForms(ring, [_reducer(dom, g) for g in order])
     sum_reduces_to_zero = forms.sum_reduces_to_zero
     # per element: the lcm of its denominators and its terms times it
     cleared = {}

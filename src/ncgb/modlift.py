@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .coeffring import DomainKind, ext_gcd, residue_domain, squarefree_factors
-from .engine import FLAG_TRUNCATED, GBResult, Stats, buchberger, completeness_flag, interreduce, keep_minimal
+from .engine import (FLAG_TRUNCATED, GBResult, Stats, buchberger, check_bound,
+                     completeness_flag, interreduce, keep_minimal)
 from .freealg import FreeAlgebra, Polynomial
 from .overlap import pair_poly, placements
 
@@ -226,9 +227,7 @@ def gb_zmod(
     if plan.is_leaf:
         return buchberger(ring, gens, d, reduce=reduce, tail_reduce=tail_reduce)
 
-    clean = [g for g in gens if not g.is_zero]
-    if clean and d < max(g.max_word_length() for g in clean):
-        raise ValueError("bound too small")
+    check_bound(gens, d)
 
     total = Stats()
     leaf_flags: list[str] = []

@@ -5,7 +5,7 @@ import itertools
 from ncgb import Alphabet, FreeAlgebra, Ordering, normal_form
 from ncgb.cli import parse_poly_list
 from ncgb.coeffring import residue_domain, squarefree_factors
-from ncgb.engine import G2, S2, _Engine, _ReducerSet, _word
+from ncgb.engine import G2, S2, _Engine, _reduce, _reducer, _word
 
 
 def make_ring(domain, names, kind, ranked, weights=None):
@@ -75,10 +75,10 @@ def verify_by_lm_reduction(ring, basis, d):
         (g for g in basis if g.terms),
         key=lambda g: (len(g.leading_word()), abs(g.leading_coeff())),
     )
-    prepared = _ReducerSet(ring, order)
+    reducers = [_reducer(ring.domain, g) for g in order]
 
     def nonzero(p):
-        return not normal_form(p, prepared).is_zero
+        return not _reduce(ring, dict(p.terms), reducers, False, None).is_zero
 
     for i in range(n):
         for j in range(i, n):
@@ -399,15 +399,21 @@ class EagerEngine(_Engine):
 
 class CallRecordingEngine(_Engine):
     """The engine, recording every ``_process(kind, i, j, data)`` and
-    ``_cut(lvl, kind, a, b, r, stop)`` call in ``calls``, a re-enqueued
-    element by its terms."""
+    ``_cut(lvl, kind, a, b, r, stop)`` call in ``calls``, the coefficient
+    dict of a ``"P"`` entry as its terms in descending word order (the
+    ``terms`` of the polynomial it holds)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = []
 
     def _process(self, kind, i, j, data):
-        self.calls.append(("process", kind, i, j, data.terms if kind == "P" else data))
+        if kind == "P":
+            key = self.ring.word_key
+            terms = tuple(sorted(data.items(), key=lambda t: key(t[0]), reverse=True))
+            self.calls.append(("process", kind, i, j, terms))
+        else:
+            self.calls.append(("process", kind, i, j, data))
         super()._process(kind, i, j, data)
 
     def _cut(self, lvl, kind, a, b, r, stop):
@@ -486,30 +492,27 @@ class InvariantEngine(_Engine):
         super()._insert(h)
 
 
-class _CheckedReducers(_ReducerSet):
-    """The live reducers of a :class:`FreshReducersEngine`: reading
-    ``reducers``, as :func:`ncgb.normal_form` does once per call, first
-    compares the engine's records with a fresh preparation."""
-
-    __slots__ = ("engine",)
+class _CheckedActive(dict):
+    """The active set of a :class:`FreshReducersEngine`: reading its
+    ``values()``, as every reduction of the engine does once, first compares
+    the engine's records with records built fresh from its live elements."""
 
     def __init__(self, engine):
-        self.ring = engine.ring
+        super().__init__()
         self.engine = engine
 
-    @property
-    def reducers(self):
+    def values(self):
         eng = self.engine
-        fresh = _ReducerSet(eng.ring, [p for p in eng.live if p is not None]).reducers
-        assert list(eng.active.values()) == fresh
+        fresh = [_reducer(eng.ring.domain, p) for p in eng.live if p is not None]
+        assert list(super().values()) == fresh
         eng.checks += 1
-        return eng.active.values()
+        return super().values()
 
 
 class FreshReducersEngine(_Engine):
     """The engine, asserting before every reduction that the records of
-    its active set are the reducers that a fresh :class:`_ReducerSet` of
-    its live elements would give, in the same order.  ``live`` is its own
+    its active set are the :func:`ncgb.engine._reducer` records of its live
+    elements, built fresh, in the same order.  ``live`` is its own
     list of the elements by index, appended at registration and set to
     None at retirement, so that the expected reducers do not come from the
     active set.  ``checks`` counts the reductions compared.  Kept as an
@@ -520,7 +523,7 @@ class FreshReducersEngine(_Engine):
         super().__init__(*args)
         self.checks = 0
         self.live = []
-        self.reducers = _CheckedReducers(self)
+        self.active = _CheckedActive(self)
 
     def _register(self, n):
         assert n == len(self.live)

@@ -32,7 +32,7 @@ from ncgb import (
     verify_strong_basis,
 )
 from ncgb.coeffring import residue_domain
-from ncgb.engine import _ReducerSet, _WordForms
+from ncgb.engine import _WordForms, _reduce, _reducer
 from ncgb.modlift import gb_zmod
 from ncgb.overlap import spoly1, spoly2
 
@@ -404,7 +404,8 @@ def test_completion_invariants_on_examples_and_random_ideals():
         # lm-reduces to zero modulo the basis, decided by the verifier's
         # memoised word forms, whose verdict is lm-reduction's (see
         # verify_strong_basis)
-        reduces_to_zero = _WordForms(_ReducerSet(ring, res.basis)).reduces_to_zero
+        reducers = [_reducer(ring.domain, g) for g in res.basis]
+        reduces_to_zero = _WordForms(ring, reducers).reduces_to_zero
         for p in discarded_pair_polys(res, nletters):
             if not p.is_zero:
                 assert reduces_to_zero(p), label
@@ -636,7 +637,7 @@ def test_dequeue_order_is_pinned():
 
 def test_live_reducers_equal_a_fresh_preparation():
     """Before every reduction the engine's active records are the
-    reducers a fresh ``_ReducerSet`` of its live elements gives
+    ``_reducer`` records of its live elements, built fresh
     (``FreshReducersEngine``), on the acceptance examples and on random
     ideals over Z, Q and Z/7 in two orderings; the runs equal the plain
     engine's."""
@@ -773,7 +774,7 @@ def test_composite_modulus_runs_cohere_and_capture_membership():
                 for w in itertools.product(range(nletters), repeat=k)
             ]
             pads = [(l, r) for l in words for r in words if len(l) + len(r) <= 2]
-            reducers = _ReducerSet(ring, res.basis)
+            reducers = [_reducer(ring.domain, g) for g in res.basis]
             per_gen = [
                 [None]
                 + [
@@ -791,7 +792,7 @@ def test_composite_modulus_runs_cohere_and_capture_membership():
                 for q in placed[1:]:
                     s = ring.add(s, q)
                 if not s.is_zero:
-                    nf = normal_form(s, reducers, tail_reduce=False)
+                    nf = _reduce(ring, dict(s.terms), reducers, False, None)
                     assert nf.is_zero, (m, i, ring.render(s), ring.render(nf))
 
     ring4 = make_ring(residue_domain(4), "x", DEG_LEFT_LEX, ["x"])

@@ -116,6 +116,27 @@ def test_gb_zmod_bound_too_small():
         gb_zmod(r6, polys(r6, "x*y*x"), 2)
 
 
+def test_one_bound_rule_on_every_path():
+    # gb_zmod's prime and composite paths and buchberger refuse the same
+    # bounds, below 1 or below a generator's longest word, with one message;
+    # a modulus error that comes before the bound check still comes first
+    from ncgb import ZZ, buchberger
+
+    for domain, complete in [(ZZ, buchberger), (residue_domain(7), gb_zmod),
+                             (residue_domain(6), gb_zmod)]:
+        r = make_ring(domain, "xy", DEG_LEFT_LEX, ["x", "y"])
+        for gens, d in [("5", 0), ("x*y*x", 2), ("0, x*y + 1", 1)]:
+            with pytest.raises(ValueError, match="bound too small"):
+                complete(r, polys(r, gens), d)
+        assert complete(r, polys(r, "0, x*y + 1"), 2).basis
+    r4 = make_ring(residue_domain(4), "xy", DEG_LEFT_LEX, ["x", "y"])
+    with pytest.raises(ValueError, match="prime-power moduli unsupported"):
+        gb_zmod(r4, polys(r4, "x*y*x"), 0)
+    r6 = make_ring(residue_domain(6), "xy", DEG_LEFT_LEX, ["x", "y"])
+    with pytest.raises(ValueError, match="composite residue moduli"):
+        buchberger(r6, polys(r6, "x*y*x"), 0)
+
+
 def test_binomial_family_across_moduli():
     expected = {
         6: ["3*y", "x"],
