@@ -36,7 +36,6 @@ still exercises the second-type reductions empirically.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -45,7 +44,7 @@ from fractions import Fraction
 
 from .coeffring import DomainKind
 from .freealg import FreeAlgebra, Polynomial, Word
-from .overlap import g_cofactors, overlaps, s_cofactors, sides
+from .overlap import g_cofactors, overlaps, pair_terms, s_cofactors, sides
 
 FLAG_COMPLETE = "conjecturally-complete"
 FLAG_TRUNCATED = "truncated"
@@ -122,29 +121,14 @@ def normal_form(
     return _reduce(f.ring, dict(f.terms), reducers, tail_reduce, trace)
 
 
-def _placed_sum(parts, modulus) -> dict:
-    """``sum(x * l*terms*r)`` over ``parts`` ``(x, l, r, terms)`` as a dict
-    of its nonzero coefficients (reduced mod ``modulus`` unless None): the
-    terms of :func:`overlap.pair_poly` on the same placed summands."""
-    acc: dict[Word, object] = {}
-    get = acc.get
-    for x, l, r, terms in parts:
-        for u, c in terms:
-            w = l + u + r
-            acc[w] = get(w, 0) + x * c
-    if modulus is not None:
-        return {w: c % modulus for w, c in acc.items() if c % modulus}
-    return {w: c for w, c in acc.items() if c}
-
-
 def _reduce(ring: FreeAlgebra, coeffs: dict, reducers, tail_reduce: bool, trace) -> Polynomial:
     """The reduction loop of :func:`normal_form`, on the nonzero
     coefficients ``coeffs`` (taken over) of the polynomial it reduces,
     against the :func:`_reducer` records ``reducers`` in order.  Every
-    reduction runs here: of a generator, a retired element, a pair's placed
-    summands (:func:`_placed_sum`) or a tail in ``interreduce``.  Only the
-    words and coefficients are read, so any dict of a polynomial's terms
-    gives its remainder and steps."""
+    reduction runs here: of a generator, a retired element, a pair's terms
+    (:func:`overlap.pair_terms`) or a tail in ``interreduce``.
+    Only the words and coefficients are read, so any dict of a polynomial's
+    terms gives its remainder and steps."""
     antikey = ring.word_antikey
     heappush, heappop = heapq.heappush, heapq.heappop
     step, modulus = ring.domain.step, ring.domain.modulus
@@ -561,42 +545,36 @@ def _rank(w: Word, n: int) -> int:
     return r
 
 
-def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lmf: Word, lmg: Word, tables: dict):
+def _avoiding(r: int, r_end: int, k: int, n: int, pats: set, lens: tuple, lmf: Word, lmg: Word):
     """Yield ``(cut_from, x, w)`` for each word ``w``, of rank ``x`` in
     ``r .. r_end-1`` (length ``k``, bytes order), such that no window of
     ``t = lmf·w·lmg`` holds a pattern of ``pats``, the words of ranks
     ``cut_from .. x-1`` having been skipped; end with ``(cut_from, r_end,
     None)``.  A window is a slice ``t[s:e]`` with ``0 < s``, ``e < |t|``,
-    ``e > |lmf|`` and ``s < |lmf·w|``.  A word whose first match ends at
-    ``e`` is skipped with its subtree, the words with prefix ``w[:min(e -
-    |lmf|, k)]``.  Each word is the last plus one with carry, and only the
-    windows ending past the changed position are looked up (see
-    :meth:`_Engine._walk`).  ``tables`` maps ``(|lmf|, k, |lmg|)`` to the
-    window table of ``pats`` for the level being walked, built here on first
-    use."""
+    ``e > |lmf|`` and ``s < |lmf·w|``; ``lens`` are the distinct lengths
+    of ``pats``, ascending.  A word whose first match ends at ``e`` is
+    skipped with its subtree, the words with prefix ``w[:min(e - |lmf|,
+    k)]``.  Each word is the last plus one with carry, and only the windows
+    ending past the changed position are looked up (see
+    :meth:`_Engine._walk`)."""
     la, lw = len(lmf), len(lmf) + k
-    key = (la, k, len(lmg))
-    tails = tables.get(key)
-    if tails is None:
-        # no walk reads a lower level before an insertion clears the entry
-        if tables and sum(next(iter(tables))) != lw + len(lmg):
-            tables.clear()
-        lens = {len(pat) for pat in pats}
-        # the windows (s, e, q) by end e, q the end in w of the prefix a match cuts
-        wins = [(e - m, e, min(e - la, k)) for e in range(la + 1, lw + len(lmg))
-                for m in lens if 0 < e - m < lw]
-        # those with q past p, at p + 1: q never decreases with e, so a suffix
-        qs = [q for _, _, q in wins]
-        tails = tables[key] = [wins[bisect.bisect_right(qs, p):] for p in range(-1, k)]
-    t, p, cut_from = bytearray(lmf + _word(r, k, n) + lmg), -1, r
+    end = lw + len(lmg)
+    # p is the last position of w the carry changed; 0 starts the first
+    # word's scan at the first end a window can have, |lmf| + 1
+    t, p, cut_from = bytearray(lmf + _word(r, k, n) + lmg), 0, r
     while r < r_end:
         tb = bytes(t)
-        for s, e, q in tails[p + 1]:
-            if tb[s:e] in pats:
-                size = n ** (k - q)
-                r += size - r % size
-                p = q - 1
-                break
+        for e in range(la + p + 1, end):
+            for m in lens:
+                if 0 < e - m < lw and tb[e - m:e] in pats:
+                    break
+            else:
+                continue
+            q = min(e - la, k)
+            size = n ** (k - q)
+            r += size - r % size
+            p = q - 1
+            break
         else:
             yield cut_from, r, tb[la:lw]
             r += 1
@@ -656,7 +634,7 @@ class _Engine:
         self.processed: set[tuple] = set()
         self.meta: dict[tuple[int, int], _PairMeta] = {}
         # need -> the chain criterion's third elements (see _thirds)
-        self.thirds: dict[object, tuple[list, set]] = {}
+        self.thirds: dict[object, tuple[list, set, tuple]] = {}
         self.unit = False
 
         self.stats = Stats()
@@ -803,12 +781,12 @@ class _Engine:
             return True
         return self._product_ok(first, second, gap)
 
-    def _thirds(self, need) -> tuple[list, set, dict]:
+    def _thirds(self, need) -> tuple[list, set, tuple]:
         """The chain criterion's third elements for a pair's ``need``
         (:meth:`_PairMeta.need`, None over a field): ``[(k, LM(c),
         |LM(c)|)]`` for each active ``c`` with a nonempty leading word and
-        ``LC(c)`` dividing ``need``, in active order, and the set of those
-        words, and :meth:`_walk`'s window tables of those words (see
+        ``LC(c)`` dividing ``need``, in active order, the set of those
+        words, and their distinct lengths, ascending (see
         :func:`_avoiding`); kept per ``need`` until :meth:`_insert` changes
         the active set."""
         got = self.thirds.get(need)
@@ -818,7 +796,8 @@ class _Engine:
                 for k, (lm, lk, _, _, p, _) in self.active.items()
                 if lk and (need is None or need % p.terms[0][1] == 0)
             ]
-            got = self.thirds[need] = (rows, {lm for _, lm, _ in rows}, {})
+            lens = tuple(sorted({lk for _, _, lk in rows}))
+            got = self.thirds[need] = (rows, {lm for _, lm, _ in rows}, lens)
         return got
 
     def _chain_discard(self, kind: str, i: int, j: int, t: Word, pi: int, pj: int) -> bool:
@@ -885,13 +864,12 @@ class _Engine:
             if self.cofactor_log is not None:
                 self.cofactor_log.append((af, ag, bf, bg))
             self._retire(e)
-            f_at, h_at = (b"", b"", fe.terms), (b"", b"", h.terms)
-            sp = _placed_sum(((af, *f_at), (-ag, *h_at)), dom.modulus)
+            sp = pair_terms(fe, h, lm, 0, 0, af, -ag)
             if sp:
                 self._push(len(max(sp, key=ring.word_key)), "P", -1, -1, sp)
             # the G-part keeps its leading term: its LC divides LC(h), which
             # no remaining reducer steps
-            gp = _placed_sum(((bf, *f_at), (bg, *h_at)), dom.modulus)
+            gp = pair_terms(fe, h, lm, 0, 0, bf, bg)
             h = _reduce(ring, gp, self.active.values(), self.tail_reduce, None)
             h = ring.normalize_leading(h)
 
@@ -919,11 +897,10 @@ class _Engine:
     def _build_pair_poly(self, kind: str, i: int, j: int, f: Polynomial, g: Polynomial,
                          t: Word, pi: int, pj: int) -> dict:
         """The pair polynomial of elements ``i`` and ``j``, ``f`` and ``g``,
-        placed on ``t``, as the dict that :func:`_placed_sum` merges from its
-        two placed summands ``(x, lf, rf, f.terms)`` and ``(y, lg, rg,
-        g.terms)``, with the cofactors ``(x, y)`` of their :class:`_PairMeta`
-        (over a field, where every element is monic, ``(1, -1)``); an
-        S-pair's are logged."""
+        placed on ``t``, as the dict of :func:`overlap.pair_terms`, with the
+        cofactors ``(x, y)`` of their :class:`_PairMeta` (over a field,
+        where every element is monic, ``(1, -1)``); an S-pair's are
+        logged."""
         if self.field_mode:
             x, y = self.field_cofactors
         elif kind in (G1, G2):
@@ -933,8 +910,7 @@ class _Engine:
             if self.cofactor_log is not None:
                 self.cofactor_log.append(cofactors)
             x, y = cofactors[0], -cofactors[1]
-        parts = (x, *sides(f, t, pi), f.terms), (y, *sides(g, t, pj), g.terms)
-        return _placed_sum(parts, self.ring.domain.modulus)
+        return pair_terms(f, g, t, pi, pj, x, y)
 
     def _process(self, kind: str, i: int, j: int, data) -> None:
         if kind == "P":
@@ -997,10 +973,9 @@ class _Engine:
         The walk cuts the lemma's windows ``t[s:e]`` (:func:`_avoiding`).  A
         window with ``e <= |LM(a)·w|`` lies in ``LM(a)·w[:e - |LM(a)|]``, so
         it discards every word with that prefix; any other reads all of
-        ``w`` and discards one word.  The windows depend only on the leading
+        ``w`` and discards one word.  The windows' patterns are the leading
         words of the active set, which the walk reads once (:meth:`_thirds`)
-        and which changes only at an insertion, and on ``|LM(a)|``, ``k`` and
-        ``|LM(b)|``.
+        and which changes only at an insertion.
 
         So when the first window, by end, that holds a third leading word
         exists, with ``q = min(e - |LM(a)|, k)``, every word with prefix
@@ -1014,15 +989,10 @@ class _Engine:
         looked up, in end order, and the first that matches is the new
         word's.
 
-        Those lists, one per position, are the window table.  ``q`` never
-        decreases as ``e`` grows, so the windows with ``q`` past a position
-        are a suffix of the list of all windows in end order, and each list
-        is a slice of that one.  The table is built once per ``(|LM(a)|, k,
-        |LM(b)|)`` and kept in the :meth:`_thirds` entry of the pair's
-        ``need``, whose words it reads; :meth:`_insert` clears it with that
-        entry, when the words can change.  Between insertions the heap pops
-        by level, so a table of a lower level is never read again: building
-        the first table of a new level drops those of the last.
+        As ``q > p`` exactly when ``e > |LM(a)| + p`` (for ``p < k``), the
+        scan of a word starts at the end ``|LM(a)| + p + 1`` and tries, at
+        each end, each length of a third leading word (the :meth:`_thirds`
+        entry's third member).
 
         Every survivor goes through :meth:`_process`, and the run
         of subtrees skipped before it through one :meth:`_cut`, called just
@@ -1043,8 +1013,8 @@ class _Engine:
         meta = self._meta(a, b)
         k, n = lvl - meta.base, self.nletters
         inserted = self.stats.basis_insertions
-        _, pats, tables = self._thirds(meta.need(kind))
-        for cut_from, x, w in _avoiding(r, r_end, k, n, pats, meta.lmf, meta.lmg, tables):
+        _, pats, lens = self._thirds(meta.need(kind))
+        for cut_from, x, w in _avoiding(r, r_end, k, n, pats, lens, meta.lmf, meta.lmg):
             if cut_from < x:
                 self._cut(lvl, kind, a, b, cut_from, x)
             if w is None:

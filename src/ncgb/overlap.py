@@ -109,16 +109,32 @@ def sides(f: Polynomial, t: Word, p: int) -> tuple[Word, Word]:
     return t[:p], t[p + len(f.leading_word()):]
 
 
-def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, x, y) -> Polynomial:
+def pair_terms(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, x, y) -> dict:
     """``x·lf·f·rf + y·lg·g·rg`` on the common word ``t``, where the
     leading words of ``f`` and ``g`` occur in ``t`` at ``pf`` and ``pg``
-    (``t == lf·LM(f)·rf == lg·LM(g)·rg``, see :func:`sides`).  The
-    S-cofactors ``(x, y) = (a_f, -a_g)`` cancel the leading terms; the
+    (``t == lf·LM(f)·rf == lg·LM(g)·rg``, see :func:`sides`), as a dict of
+    its nonzero coefficients by word.  The one builder of pair terms: the
+    engine reduces the dict, :func:`pair_poly` sorts it."""
+    acc: dict[Word, object] = {}
+    get = acc.get
+    for z, pz, h in ((x, pf, f), (y, pg, g)):
+        l, r = sides(h, t, pz)
+        for u, c in h.terms:
+            w = l + u + r
+            acc[w] = get(w, 0) + z * c
+    modulus = f.ring.domain.modulus
+    if modulus is not None:
+        return {w: c % modulus for w, c in acc.items() if c % modulus}
+    return {w: c for w, c in acc.items() if c}
+
+
+def pair_poly(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int, x, y) -> Polynomial:
+    """The terms of :func:`pair_terms` as a polynomial, by descending word.
+    The S-cofactors ``(x, y) = (a_f, -a_g)`` cancel the leading terms; the
     G-cofactors ``(b_f, b_g)`` leave ``gcd(LC(f), LC(g))`` on ``t``."""
-    ring = f.ring
-    return ring.add(
-        ring.scaled_translate(x, *sides(f, t, pf), f), ring.scaled_translate(y, *sides(g, t, pg), g)
-    )
+    ring, key = f.ring, f.ring.word_key
+    terms = pair_terms(f, g, t, pf, pg, x, y).items()
+    return ring.from_terms(sorted(terms, key=lambda item: key(item[0]), reverse=True))
 
 
 def _pair(f: Polynomial, g: Polynomial, t: Word, pf: int, pg: int):

@@ -541,20 +541,17 @@ class FreshThirdsEngine(_Engine):
     set, in its order: ``(index, LM, |LM|)`` of each element with a
     nonempty leading word whose leading coefficient divides ``need`` (any,
     over a field), that the cached set holds their leading words, and that
-    every window table the walk cached with them (see
-    :func:`ncgb.engine._avoiding`) is the one :func:`is_window` gives for
-    those words, each once.  ``checks`` counts the lookups compared and
-    ``tables`` the window tables.  Kept as an oracle for the cache of
-    :meth:`ncgb.engine._Engine._thirds`, which ``_insert`` drops."""
+    the cached lengths (see :func:`ncgb.engine._avoiding`) are their
+    distinct lengths, ascending.  ``checks`` counts the lookups compared.
+    Kept as an oracle for the cache of :meth:`ncgb.engine._Engine._thirds`,
+    which ``_insert`` drops."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.checks = self.tables = 0
-        # id of a cached table dict -> (the dict, kept so the id stays its own; keys checked)
-        self.checked = {}
+        self.checks = 0
 
     def _thirds(self, need):
-        rows, words, tables = super()._thirds(need)
+        rows, words, lens = super()._thirds(need)
         dom = self.ring.domain
         fresh = []
         for k, rec in self.active.items():
@@ -563,20 +560,6 @@ class FreshThirdsEngine(_Engine):
             if lm and (need is None or dom.divides(p.leading_coeff(), need)):
                 fresh.append((k, lm, len(lm)))
         assert rows == fresh and words == {lm for _, lm, _ in fresh}, need
-        lens = {len(lm) for lm in words}
-        done = self.checked.setdefault(id(tables), (tables, set()))[1]
-        for (la, k, lb), tails in tables.items():
-            if (la, k, lb) in done:
-                continue
-            done.add((la, k, lb))
-            lmf, w, lmg = bytes(la), bytes(k), bytes(lb)
-            wins = [(s, e, min(e - la, k)) for e in range(la + k + lb + 1) for s in range(e)
-                    if e - s in lens and is_window(s, e, lmf, w, lmg)]
-            # per position p of w, at p + 1: the windows whose prefix ends past p, by end
-            assert len(tails) == k + 1, (la, k, lb)
-            for p, got in enumerate(tails, -1):
-                assert sorted(got) == sorted(x for x in wins if x[2] > p), (la, k, lb, p)
-                assert [e for _, e, _ in got] == sorted(e for _, e, _ in got), (la, k, lb, p)
-            self.tables += 1
+        assert lens == tuple(sorted({len(lm) for _, lm, _ in fresh})), need
         self.checks += 1
-        return rows, words, tables
+        return rows, words, lens

@@ -27,7 +27,7 @@ from ncgb import (
 )
 from ncgb.cli import parse_job
 from ncgb.coeffring import ext_gcd, lcm_coeff, residue_domain
-from ncgb.overlap import g_cofactors, overlaps, pair_poly, s_cofactors, sides, spoly2
+from ncgb.overlap import g_cofactors, overlaps, pair_poly, pair_terms, s_cofactors, sides, spoly2
 from ncgb import engine
 from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _WordForms, _reducer
 
@@ -346,20 +346,16 @@ def test_connecting_word_walk_decides_as_find_per_word():
     # LM(a)·w·LM(b) and the window rule per word, on random pattern sets,
     # random LM(a) and LM(b) (empty ones included), alphabets of one to
     # three letters, k = 0..6, and ranges resumed after a simulated
-    # insertion with one more pattern; the window tables are kept per
-    # pattern set across draws, as the engine keeps them per third-element
-    # set, so that many walks read a table another walk built
+    # insertion with one more pattern; the pattern lengths are passed as
+    # the engine's _thirds entry holds them
     rng = random.Random(20261019)
     seen = dict.fromkeys(
-        ["mid", "short", "n1", "k0", "la0", "lb0", "resumed", "start", "end", "double", "edge",
-         "cached"], 0
+        ["mid", "short", "n1", "k0", "la0", "lb0", "resumed", "start", "end", "double", "edge"], 0
     )
-    by_pats = {}
 
     def walk(r, r_end, k, n, pats, lmf, lmg):
-        tables = by_pats.setdefault(frozenset(pats), {})
-        seen["cached"] += (len(lmf), k, len(lmg)) in tables
-        return _walk_decisions(engine._avoiding(r, r_end, k, n, pats, lmf, lmg, tables))
+        lens = tuple(sorted({len(pat) for pat in pats}))
+        return _walk_decisions(engine._avoiding(r, r_end, k, n, pats, lens, lmf, lmg))
 
     for _ in range(3000):
         n, k = rng.randint(1, 3), rng.randint(0, 6)
@@ -935,11 +931,13 @@ def test_pair_polys_are_the_s_and_g_polynomials(domain, kind, ranked, gens, d):
 )
 def test_reduction_from_placed_summands_is_normal_form_of_the_pair_polynomial(domain):
     # the completion starts a pair's reduction from its two placed summands
-    # merged into one dict (engine._placed_sum), not from the pair
+    # merged into one dict (overlap.pair_terms), not from the pair
     # polynomial: on random pairs, first- and second-type placements and
     # S- and G-cofactors (S only over Q, which has no gcd cofactors), with
     # and without tail reduction, the remainder's terms (with their types)
-    # and the trace of steps are those of normal_form on pair_poly
+    # and the trace of steps are those of normal_form on the pair
+    # polynomial, which pair_poly builds and ring arithmetic (the sum of
+    # two scaled translates) builds independently of pair_terms
     rng = random.Random(20261020)
     r = make_ring(domain, "xyz", DEG_LEFT_LEX, ["x", "y", "z"])
     dom, n = r.domain, len(r.alphabet)
@@ -965,11 +963,13 @@ def test_reduction_from_placed_summands_is_normal_form_of_the_pair_polynomial(do
         if domain != QQ:
             cofactors.append(("G", *g_cofactors(dom, cf, cg)[:2]))
         for (t, pf, pg), (kind, x, y) in itertools.product(places, cofactors):
-            parts = ((x, *sides(f, t, pf), f.terms), (y, *sides(g, t, pg), g.terms))
+            ref = r.add(r.scaled_translate(x, *sides(f, t, pf), f),
+                        r.scaled_translate(y, *sides(g, t, pg), g))
+            assert repr(pair_poly(f, g, t, pf, pg, x, y).terms) == repr(ref.terms), (kind, t, pf, pg)
             for tail in (False, True):
                 want_trace, got_trace = [], []
-                want = normal_form(pair_poly(f, g, t, pf, pg, x, y), gens, tail, want_trace)
-                start = engine._placed_sum(parts, dom.modulus)
+                want = normal_form(ref, gens, tail, want_trace)
+                start = pair_terms(f, g, t, pf, pg, x, y)
                 got = engine._reduce(r, start, reducers, tail, got_trace)
                 assert repr(got.terms) == repr(want.terms), (kind, t, pf, pg, tail)
                 assert got_trace == want_trace, (kind, t, pf, pg, tail)
