@@ -1124,7 +1124,7 @@ def check_bound(gens: list[Polynomial], d: int) -> None:
 # postprocessing
 # ---------------------------------------------------------------------------
 
-def keep_minimal(ring: FreeAlgebra, items) -> list:
+def keep_minimal(ring: FreeAlgebra, items, kept: list | None = None) -> list:
     """The payloads of the items ``(word, norm, payload)`` that no other
     item's leading term divides: the one rule for redundant elements.
 
@@ -1132,14 +1132,23 @@ def keep_minimal(ring: FreeAlgebra, items) -> list:
     dropped when one kept before it has a word occurring in its word and
     a norm dividing its norm (``|c|`` over Z, 1 over a field,
     ``gcd(c, m)`` over Z/m, so that this is coefficient division).
+
+    ``kept``, if given, holds the ``(word, norm)`` terms of items kept
+    before, each sorting before every item here: the items they divide
+    are dropped before any sort key is computed, and the terms kept here
+    are appended to it.
     """
     key = ring.word_key
-    kept: list[tuple[Word, int]] = []
+    if kept:
+        items = [it for it in items if not any(u in it[0] and it[1] % k == 0 for u, k in kept)]
+    fresh: list[tuple[Word, int]] = []
     out = []
     for w, n, payload in sorted(items, key=lambda it: (len(it[0]), key(it[0]), it[1])):
-        if not any(u in w and n % k == 0 for u, k in kept):
-            kept.append((w, n))
+        if not any(u in w and n % k == 0 for u, k in fresh):
+            fresh.append((w, n))
             out.append(payload)
+    if kept is not None:
+        kept += fresh
     return out
 
 

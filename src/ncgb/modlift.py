@@ -14,8 +14,10 @@ bases ``G_a``, ``G_b`` are merged as
   combination ``t*b*LC(h) * (l g r)  +  s*a*LC(g) * (l' h r')`` whose
   leading term is ``LC(g)*LC(h) * T``.
 
+Candidates are listed one word length at a time, each length checked once
+against the terms kept at shorter lengths, and only the kept are built.
 With leading coefficients kept canonical (divisors of the respective
-moduli, which the final interreduction of each level guarantees) the
+moduli, which the final interreduction at each node guarantees) the
 merged set is again strong up to the bound: any ideal element reduces
 mod ``a`` and mod ``b``, the two witnessing leading words both occur
 inside its own leading word, and the pair combination built on exactly
@@ -118,22 +120,24 @@ def _combine(
     """Build the kept CRT candidates of one factor-tree node, interreduced.
 
     Candidates are ``(T, norm, recipe)`` items listed one length level
-    ``L = 0..d`` at a time, each level passed with the items kept so far
-    to :func:`keep_minimal`.  Level ``L`` holds, in the order of one full
-    listing, the lifted elements, then per pair ``(g, h)`` its
-    intersecting placements and its disjoint placements ``x·w·y``
-    (``u·w·v`` before ``v·w·u``, ``w`` in ``itertools.product`` order).
+    ``L = 0..d`` at a time, each level's own items passed to
+    :func:`keep_minimal` with the ``(word, norm)`` terms kept at shorter
+    levels.  Level ``L`` holds, in the order of one full listing, the
+    lifted elements, then per pair ``(g, h)`` its intersecting placements
+    and its disjoint placements ``x·w·y`` (``u·w·v`` before ``v·w·u``,
+    ``w`` in ``itertools.product`` order).
 
-    Skip rule: ``x·w·y`` is not listed, nor any extension of ``w``, when a
-    kept ``(W, k)`` has ``W`` in ``x·w`` and ``k`` dividing the pair's
-    norm.  Proof: ``|W| <= |x·w| < |x·w'·y|`` for every extension ``w'``,
-    so ``(W, k)`` sorts strictly before each such item and divides it.
-    ``keep_minimal`` drops an item exactly when an earlier item's leading
-    term divides it, and an item divided by a dropped one is divided by
-    the kept item that dropped it, so removing dominated items changes
-    neither the kept list nor its order.  Items of shorter levels sort
-    first and stay kept, so one call per level keeps what one call over
-    every candidate would.
+    Skip rule: for a term ``(W, k)`` kept at a shorter level, with ``k``
+    dividing the pair's norm, ``x·w·y`` is not listed when ``W`` occurs in
+    it, nor any extension of ``w`` when ``W`` occurs in ``x·w``.  Proof:
+    ``(W, k)`` sorts strictly before every item of level ``L`` and after,
+    and divides each item ``W`` occurs in.  ``keep_minimal`` drops an item
+    exactly when an earlier item's leading term divides it, and an item
+    divided by a dropped one is divided by the kept item that dropped it,
+    so removing dominated items changes neither the kept list nor its
+    order.  Items of shorter levels sort first and stay kept, so one call
+    per level, seeded with the terms kept before it, keeps what one call
+    over every candidate would.
     """
     m = plan.modulus
     a, b = plan.left.modulus, plan.right.modulus
@@ -144,14 +148,15 @@ def _combine(
 
     lifted_a = [_transfer(ring_m, g) for g in g_left]
     lifted_b = [_transfer(ring_m, h) for h in g_right]
-    lifted = [
-        (f.leading_word(), math.gcd(c * int(f.leading_coeff()), m), (ring_m.scale, c, f))
-        for c, fs in ((tb, lifted_a), (sa, lifted_b))
-        for f in fs
-    ]
+    # items by length, each level opening with its lifted elements
+    levels: list[list] = [[] for _ in range(d + 1)]
+    for c, fs in ((tb, lifted_a), (sa, lifted_b)):
+        for f in fs:
+            T = f.leading_word()
+            levels[len(T)].append((T, math.gcd(c * int(f.leading_coeff()), m), (ring_m.scale, c, f)))
     # per pair: leading words, norm, the cofactors kg and kh of g and h in its
-    # candidates, intersecting placements and the frontier of connecting words
-    # w, each with an alive flag for u·w·v and for v·w·u
+    # candidates, its intersecting placements by length and the frontier of
+    # connecting words w, each with an alive flag for u·w·v and for v·w·u
     pairs = []
     for g in lifted_a:
         for h in lifted_b:
@@ -163,43 +168,57 @@ def _combine(
             )
             u, v = g.leading_word(), h.leading_word()
             if u and v:
-                placed, frontier = list(placements(u, v)), [(b"", True, True)]
+                placed, frontier = placements(u, v), [(b"", True, True)]
             else:  # a constant's leading word sits at the start of the other
                 placed, frontier = [(v or u, 0, 0)], []
+            norm = math.gcd(cg * ch, m)
             # tb + sa == 1 (mod m): the leading coefficient is cg*ch
             kg, kh = (tb * ch) % m, (sa * cg) % m
-            pairs.append([g, h, u, v, math.gcd(cg * ch, m), kg, kh, placed, frontier])
+            by_len: dict[int, list] = {}
+            for T, pu, pv in placed:
+                if len(T) <= d:
+                    by_len.setdefault(len(T), []).append((T, norm, (pair_poly, g, h, T, pu, pv, kg, kh)))
+            pairs.append([g, h, u, v, norm, kg, kh, by_len, frontier])
 
-    kept = []
+    kept: list = []  # the (word, norm) terms kept so far
+    out = []
     for L in range(d + 1):
-        level = [it for it in lifted if len(it[0]) == L]
+        level = levels[L]
+        # per pair norm, the words of the kept terms whose norms divide it
+        ws_of = {n: [W for W, k in kept if n % k == 0] for n in {fam[4] for fam in pairs}}
         for fam in pairs:
-            g, h, u, v, norm, kg, kh, placed, frontier = fam
-            level += [
-                (T, norm, (pair_poly, g, h, T, pu, pv, kg, kh)) for T, pu, pv in placed if len(T) == L
-            ]
+            g, h, u, v, norm, kg, kh, by_len, frontier = fam
+            level += by_len.pop(L, ())
             k = L - len(u) - len(v)
             if k < 0 or not frontier:
                 continue
             if k:
                 frontier = [(w + c, fu, fv) for w, fu, fv in frontier for c in letters]
-            ws = [W for W, n, _ in kept if norm % n == 0]
+            ws = ws_of[norm]
             fam[-1] = []
             for w, fu, fv in frontier:
-                fu = fu and not any(W in u + w for W in ws)
-                fv = fv and not any(W in v + w for W in ws)
                 if fu:
-                    T = u + w + v
-                    level.append((T, norm, (pair_poly, g, h, T, 0, len(u) + k, kg, kh)))
+                    uw = u + w
+                    fu = not any(W in uw for W in ws)
+                    if fu:
+                        T = uw + v
+                        if not any(W in T for W in ws):
+                            level.append((T, norm, (pair_poly, g, h, T, 0, len(u) + k, kg, kh)))
                 if fv:
-                    T = v + w + u
-                    level.append((T, norm, (pair_poly, g, h, T, len(v) + k, 0, kg, kh)))
+                    vw = v + w
+                    fv = not any(W in vw for W in ws)
+                    if fv:
+                        T = vw + u
+                        if not any(W in T for W in ws):
+                            level.append((T, norm, (pair_poly, g, h, T, len(v) + k, 0, kg, kh)))
                 if fu or fv:
                     fam[-1].append((w, fu, fv))
-        kept = keep_minimal(ring_m, [(T, n, (T, n, recipe)) for T, n, recipe in kept + level])
+        out += keep_minimal(ring_m, level, kept)
+        # a pair whose placements are listed and whose frontier is empty
+        # lists nothing more
+        pairs = [fam for fam in pairs if fam[-2] or fam[-1]]
 
-    out = [build(*args) for _, _, (build, *args) in kept]
-    return interreduce(out, tail_reduce=tail_reduce)
+    return interreduce([build(*args) for build, *args in out], tail_reduce=tail_reduce)
 
 
 def gb_zmod(

@@ -29,7 +29,7 @@ from ncgb.cli import parse_job
 from ncgb.coeffring import ext_gcd, lcm_coeff, residue_domain
 from ncgb.overlap import g_cofactors, overlaps, pair_poly, pair_terms, s_cofactors, sides, spoly2
 from ncgb import engine
-from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _WordForms, _reducer
+from ncgb.engine import _FRONTIER, _Engine, _PairMeta, _WordForms, _reducer, keep_minimal
 
 from conftest import (
     first_cut_end,
@@ -489,6 +489,39 @@ def test_interreduce_drops_covered_heads():
     basis2 = polys(R, "2*x, 3*x*y")
     kept2 = interreduce(basis2)
     assert sorted(R.render(g) for g in kept2) == ["2*x", "3*x*y"]
+
+
+def test_keep_minimal_seeded_with_the_terms_kept_at_shorter_lengths():
+    # a call over the shorter items, then one over the rest seeded with the
+    # first's kept terms, keep what one call over every item keeps; the
+    # unseeded call keeps each item that no item kept before it divides
+    m = 210
+    ring = make_ring(residue_domain(m), "xy", DEG_RIGHT_LEX, ["x", "y"])
+    key = ring.word_key
+    norms = [k for k in range(1, m + 1) if m % k == 0]
+    rng = random.Random(20261022)
+    seeded = 0
+    for _ in range(300):
+        items = [
+            (bytes(rng.randrange(2) for _ in range(rng.randint(0, 4))), rng.choice(norms), i)
+            for i in range(rng.randint(1, 30))
+        ]
+        want, terms = [], []
+        for w, n, i in sorted(items, key=lambda it: (len(it[0]), key(it[0]), it[1])):
+            if not any(u in w and n % k == 0 for u, k in terms):
+                terms.append((w, n))
+                want.append(i)
+        assert keep_minimal(ring, iter(items)) == want
+        cut = rng.randint(0, 5)
+        prefix = [it for it in items if len(it[0]) < cut]
+        rest = [it for it in items if len(it[0]) >= cut]
+        kept = []
+        got = keep_minimal(ring, prefix, kept)
+        seeded += len(got) + len(keep_minimal(ring, rest)) > len(want)
+        assert got + keep_minimal(ring, rest, kept) == want
+        assert kept == terms
+    # the seed is not idle: often a shorter kept term divides a longer item
+    assert seeded >= 100, seeded
 
 
 @pytest.mark.parametrize(

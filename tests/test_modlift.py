@@ -233,17 +233,18 @@ def test_combine_matches_building_every_candidate_on_torsion(monkeypatch, d):
         assert got == want
 
 
-def _random_combines_match(monkeypatch, moduli, names, maxlen, d, seed):
-    # binomials without constant terms, so that most draws keep torsion
-    # and non-unit leading coefficients instead of collapsing to the unit
+def _random_combines_match(monkeypatch, moduli, names, maxlen, d, seed, draws=8, minlen=1):
+    # binomials, by default without constant terms, so that most draws keep
+    # torsion and non-unit leading coefficients instead of collapsing to the unit
     for m in moduli:
         for kind in (DEG_LEFT_LEX, DEG_RIGHT_LEX):
             rm = make_ring(residue_domain(m), names, kind, list(names))
             rng = random.Random(seed + m)
-            for _ in range(8):
+            for _ in range(draws):
                 gens = [
                     rm.poly(
-                        (bytes(rng.randrange(len(names)) for _ in range(rng.randint(1, maxlen))), rng.randrange(1, m))
+                        (bytes(rng.randrange(len(names)) for _ in range(rng.randint(minlen, maxlen))),
+                         rng.randrange(1, m))
                         for _ in range(2)
                     )
                     for _ in range(3)
@@ -267,21 +268,42 @@ def test_combine_breaks_ties_as_building_every_candidate(monkeypatch):
     _random_combines_match(monkeypatch, (6, 30), "xy", 3, 6, 20261020)
 
 
+def test_combine_matches_building_every_candidate_with_constants(monkeypatch):
+    # constant terms allowed: a prime where the ideal is everything gives the
+    # basis {1}, and every pair with that constant takes _combine's branch
+    # that places the other leading word alone
+    from ncgb import modlift
+
+    combine, constants = modlift._combine, []
+
+    def noting_constants(plan, g_left, g_right, *args):
+        constants.append(any(not p.leading_word() for p in g_left + g_right))
+        return combine(plan, g_left, g_right, *args)
+
+    monkeypatch.setattr(modlift, "_combine", noting_constants)
+    _random_combines_match(monkeypatch, (6, 30, 210), "xy", 2, 4, 20261022, draws=20, minlen=0)
+    assert len(constants) == 480
+    assert sum(constants) >= 300, sum(constants)
+
+
 def test_combine_lists_no_dominated_connecting_word(monkeypatch):
     from ncgb import modlift
 
     received = []
 
-    def counting_keep_minimal(ring, items):
+    def counting_keep_minimal(ring, items, kept=None):
         items = list(items)
         received.append(len(items))
-        return keep_minimal(ring, items)
+        return keep_minimal(ring, items, kept)
 
     monkeypatch.setattr(modlift, "keep_minimal", counting_keep_minimal)
     r, gens = _torsion_mod_2310()
     gb_zmod(r, gens, 10)
-    # listing every connecting word makes 510,387 items
-    assert 0 < sum(received) <= 5000
+    # listing every connecting word makes 510,387 items; handing each level
+    # its items together with every item kept before it made 1,526, and its
+    # own items alone 1,242 while connecting-word candidates that a term
+    # kept at a shorter length divides were still listed
+    assert 0 < sum(received) <= 300
 
 
 def test_torsion_basis_mod_2310_is_the_same_at_bounds_10_and_12():
